@@ -47,6 +47,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzShardPartition -fuzztime=$(FUZZTIME) ./internal/partition/shard
 	$(GO) test -run=^$$ -fuzz=FuzzFTDCReader -fuzztime=$(FUZZTIME) ./internal/obs/ftdc
 	$(GO) test -run=^$$ -fuzz=FuzzMeshStitch -fuzztime=$(FUZZTIME) ./internal/mesh
+	$(GO) test -run=^$$ -fuzz=FuzzLandmarkAssociation -fuzztime=$(FUZZTIME) ./internal/mesh
 
 # `make bench` records a machine-readable baseline (schema: internal/bench,
 # documented in EXPERIMENTS.md) named for today's date.

@@ -3,12 +3,12 @@ package graph
 // This file is the graph package's hot-path kernel: a compressed-sparse-row
 // snapshot of a Graph (CSR), bitset node filters (NodeSet) replacing
 // func(int) bool closures, reusable breadth-first-search scratch (Scratch)
-// with epoch-stamped visited marks, and cached shortest-path trees (SPT)
+// with epoch-stamped visited marks, and on-demand shortest-path trees (SPT)
 // from which any root-to-node path extracts in O(path length).
 //
 // Everything here preserves the deterministic expansion rule of
 // Graph.ShortestPath — FIFO frontier, neighbors scanned in stored adjacency
-// order — so paths extracted from a CSR traversal or a cached SPT are
+// order — so paths extracted from a CSR traversal or an SPT are
 // bit-identical to the slice-adjacency implementation. The CDM construction
 // (internal/mesh) relies on all nodes agreeing on "the" shortest path, and
 // the differential tests rely on exact equality across representations.
@@ -18,8 +18,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/par"
 )
 
 // CSR is a compressed-sparse-row snapshot of a graph: every adjacency list
@@ -417,35 +415,88 @@ func appendPath(parent []int32, root, v int, out []int) []int {
 	return out
 }
 
-// SPT is one root's complete shortest-path tree over an induced subgraph:
-// the frozen result of the deterministic BFS, from which any root-to-node
-// path extracts in O(path length) with no further traversal. Trees are
-// immutable once built and safe for concurrent readers.
+// SPT is one root's shortest-path tree over an induced subgraph, grown on
+// demand: a resumable breadth-first search that keeps its FIFO queue and
+// head between queries. DistTo and PathTo expand the queue only until the
+// queried node has been discovered, then extract the answer from the
+// parent pointers in O(path length). The answers are bit-identical to a
+// fresh Graph.ShortestPath / HopDistance from the root: the expansion is
+// the same FIFO, adjacency-order scan, BFS parents are fixed when a node
+// is discovered, and the discovery order does not depend on where the
+// search pauses. A query advances the tree, so an SPT serves one
+// goroutine.
 type SPT struct {
 	// Root is the tree's source node.
 	Root int
 
-	dist   []int32 // full length; Unreachable where the BFS did not reach
-	parent []int32
-	order  []int32 // reached nodes in expansion order
+	c       *CSR
+	allowed *NodeSet
+	dist    []int32 // hop distance + 1; 0 = not discovered yet
+	parent  []int32
+	order   []int32 // discovered nodes in FIFO order; doubles as the queue
+	head    int     // next queue position to expand
+}
+
+// NewSPT starts the tree rooted at root over the subgraph of c induced by
+// allowed (nil admits every node). No traversal happens until the first
+// query. A root outside the graph or the filter yields an empty tree
+// (every node Unreachable).
+func NewSPT(c *CSR, root int, allowed *NodeSet) *SPT {
+	n := c.Len()
+	buf := make([]int32, 2*n)
+	t := &SPT{Root: root, c: c, allowed: allowed, dist: buf[:n:n], parent: buf[n:]}
+	if root >= 0 && root < n && (allowed == nil || allowed.Has(root)) {
+		t.dist[root] = 1
+		t.order = append(make([]int32, 0, 16), int32(root))
+	}
+	return t
+}
+
+// growTo expands the queue until v is discovered or the tree is complete,
+// and reports whether v was discovered.
+func (t *SPT) growTo(v int) bool {
+	if v < 0 || v >= len(t.dist) {
+		return false
+	}
+	if t.dist[v] != 0 {
+		return true
+	}
+	if t.allowed != nil && !t.allowed.Has(v) {
+		return false
+	}
+	c := t.c
+	for t.dist[v] == 0 && t.head < len(t.order) {
+		u := t.order[t.head]
+		t.head++
+		du := t.dist[u]
+		for _, w := range c.col[c.rowPtr[u]:c.rowPtr[u+1]] {
+			if t.dist[w] != 0 {
+				continue
+			}
+			if t.allowed != nil && !t.allowed.Has(int(w)) {
+				continue
+			}
+			t.dist[w] = du + 1
+			t.parent[w] = u
+			t.order = append(t.order, w)
+		}
+	}
+	return t.dist[v] != 0
 }
 
 // DistTo returns v's hop distance from the root, or Unreachable.
 func (t *SPT) DistTo(v int) int {
-	if v < 0 || v >= len(t.dist) {
+	if !t.growTo(v) {
 		return Unreachable
 	}
-	return int(t.dist[v])
+	return int(t.dist[v] - 1)
 }
 
 // PathTo appends the root→v path to out and returns the extended slice,
 // nil when v is unreachable. The path is bit-identical to
-// Graph.ShortestPath(root, v, allowed): the tree stores exactly the parent
-// pointers that truncated search would have assigned, because BFS parents
-// are fixed at discovery time and discovery order does not depend on when
-// the search stops.
+// Graph.ShortestPath(root, v, allowed).
 func (t *SPT) PathTo(v int, out []int) []int {
-	if v < 0 || v >= len(t.dist) || t.dist[v] == int32(Unreachable) {
+	if !t.growTo(v) {
 		return nil
 	}
 	if v == t.Root {
@@ -454,65 +505,10 @@ func (t *SPT) PathTo(v int, out []int) []int {
 	return appendPath(t.parent, t.Root, v, out)
 }
 
-// Reached lists the nodes the tree spans, in expansion order.
+// Reached lists the nodes discovered so far, in expansion order — the
+// tree's traversal work to date. The slice aliases the tree and is valid
+// until the next query.
 func (t *SPT) Reached() []int32 { return t.order }
-
-// SPTStats reports the traversal work a BuildSPTs call performed.
-type SPTStats struct {
-	// Runs counts BFS traversals (one per root).
-	Runs int64
-	// Visited counts nodes reached, summed over the trees.
-	Visited int64
-}
-
-// BuildSPTs computes one shortest-path tree per root over the subgraph
-// induced by allowed, in parallel on the given worker count (<= 0 means
-// GOMAXPROCS). Roots outside the graph or the filter yield empty trees
-// (every node Unreachable). The output depends only on the inputs, never
-// on scheduling: each tree is an independent deterministic BFS.
-func BuildSPTs(c *CSR, roots []int, allowed *NodeSet, workers int) ([]*SPT, SPTStats, error) {
-	n := c.Len()
-	trees := make([]*SPT, len(roots))
-	visited := make([]int64, len(roots))
-	err := par.For(len(roots), workers, func(_, i int) error {
-		t := &SPT{Root: roots[i], dist: make([]int32, n), parent: make([]int32, n)}
-		for j := range t.dist {
-			t.dist[j] = int32(Unreachable)
-			t.parent[j] = int32(Unreachable)
-		}
-		root := roots[i]
-		if root >= 0 && root < n && (allowed == nil || allowed.Has(root)) {
-			t.dist[root] = 0
-			t.order = append(make([]int32, 0, 16), int32(root))
-			for head := 0; head < len(t.order); head++ {
-				u := t.order[head]
-				du := t.dist[u]
-				for _, v := range c.col[c.rowPtr[u]:c.rowPtr[u+1]] {
-					if t.dist[v] != int32(Unreachable) {
-						continue
-					}
-					if allowed != nil && !allowed.Has(int(v)) {
-						continue
-					}
-					t.dist[v] = du + 1
-					t.parent[v] = int32(u)
-					t.order = append(t.order, v)
-				}
-			}
-		}
-		visited[i] = int64(len(t.order))
-		trees[i] = t
-		return nil
-	})
-	if err != nil {
-		return nil, SPTStats{}, err
-	}
-	st := SPTStats{Runs: int64(len(roots))}
-	for _, v := range visited {
-		st.Visited += v
-	}
-	return trees, st, nil
-}
 
 // Validate checks CSR structural invariants — monotone row pointers in
 // range, neighbor indices in range — and, for normalized CSRs (built by

@@ -89,8 +89,9 @@ func TestCSRShortestPathMatchesGraph(t *testing.T) {
 	}
 }
 
-// TestSPTPathsMatchShortestPath asserts every path extracted from a cached
-// SPT is bit-identical to a fresh truncated search from the same root.
+// TestSPTPathsMatchShortestPath asserts every path extracted from an
+// on-demand SPT is bit-identical to a fresh truncated search from the same
+// root.
 func TestSPTPathsMatchShortestPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 10; trial++ {
@@ -98,28 +99,132 @@ func TestSPTPathsMatchShortestPath(t *testing.T) {
 		g := randomGraph(n, n, rng)
 		c := NewCSR(g)
 		member, set := randomFilter(n, rng)
-		roots := rng.Perm(n)[:5]
-		trees, st, err := BuildSPTs(c, roots, set, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Runs != int64(len(roots)) {
-			t.Fatalf("Runs = %d, want %d", st.Runs, len(roots))
-		}
-		for i, root := range roots {
-			tr := trees[i]
+		for _, root := range rng.Perm(n)[:5] {
+			tr := NewSPT(c, root, set)
 			if tr.Root != root {
-				t.Fatalf("tree %d root %d, want %d", i, tr.Root, root)
+				t.Fatalf("tree root %d, want %d", tr.Root, root)
 			}
 			for v := 0; v < n; v++ {
 				want := g.ShortestPath(root, v, InSet(member))
 				got := tr.PathTo(v, nil)
 				if !eqIntSlices(want, got) {
-					t.Fatalf("trial %d SPT path %d->%d: fresh %v, cached %v", trial, root, v, want, got)
+					t.Fatalf("trial %d SPT path %d->%d: fresh %v, tree %v", trial, root, v, want, got)
 				}
 				wd := g.HopDistance(root, v, InSet(member))
 				if tr.DistTo(v) != wd {
-					t.Fatalf("trial %d dist %d->%d: fresh %d, cached %d", trial, root, v, wd, tr.DistTo(v))
+					t.Fatalf("trial %d dist %d->%d: fresh %d, tree %d", trial, root, v, wd, tr.DistTo(v))
+				}
+			}
+		}
+	}
+}
+
+// eagerSPT is the complete-tree builder the on-demand SPT replaced: one
+// unlimited BFS from root, run to exhaustion up front. It is the oracle
+// for the fully-grown state of a resumable tree (dist here is the plain
+// hop distance, Unreachable where the search did not reach).
+func eagerSPT(c *CSR, root int, allowed *NodeSet) (dist, parent, order []int32) {
+	n := c.Len()
+	dist = make([]int32, n)
+	parent = make([]int32, n)
+	for j := range dist {
+		dist[j] = int32(Unreachable)
+		parent[j] = int32(Unreachable)
+	}
+	if root < 0 || root >= n || (allowed != nil && !allowed.Has(root)) {
+		return dist, parent, nil
+	}
+	dist[root] = 0
+	order = append(order, int32(root))
+	for head := 0; head < len(order); head++ {
+		u := order[head]
+		for _, v := range c.Neighbors(int(u)) {
+			if dist[v] != int32(Unreachable) {
+				continue
+			}
+			if allowed != nil && !allowed.Has(int(v)) {
+				continue
+			}
+			dist[v] = dist[u] + 1
+			parent[v] = u
+			order = append(order, v)
+		}
+	}
+	return dist, parent, order
+}
+
+// sparseGraph draws m random edges over n nodes with no spanning path, so
+// most instances fall apart into several components.
+func sparseGraph(n, m int, rng *rand.Rand) *Graph {
+	g := New(n)
+	for i := 0; i < m; i++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u != v {
+			g.AddEdge(u, v)
+		}
+	}
+	return g
+}
+
+// TestSPTResumableMatchesFreshSearch interleaves random queries across
+// several on-demand trees of one CSR — connected and disconnected graphs,
+// with and without a node filter — and requires every answer to equal a
+// fresh scratch search. Pausing one tree mid-growth while others advance
+// must not change anything. Once every node has been queried, each tree
+// must hold exactly the eager builder's dist/parent/order.
+func TestSPTResumableMatchesFreshSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(70)
+		var g *Graph
+		if trial%2 == 0 {
+			g = randomGraph(n, n/2, rng)
+		} else {
+			g = sparseGraph(n, n*2/3, rng)
+		}
+		c := NewCSR(g)
+		var set *NodeSet
+		if trial%3 != 0 {
+			_, set = randomFilter(n, rng)
+		}
+		trees := make([]*SPT, 1+rng.Intn(5))
+		for i := range trees {
+			trees[i] = NewSPT(c, rng.Intn(n), set)
+		}
+		var s Scratch
+		var buf []int
+		for q := 0; q < 4*n; q++ {
+			tr := trees[rng.Intn(len(trees))]
+			v := rng.Intn(n)
+			if rng.Intn(2) == 0 {
+				want := c.ShortestPath(&s, tr.Root, v, set, nil)
+				buf = tr.PathTo(v, buf[:0])
+				if !eqIntSlices(want, buf) {
+					t.Fatalf("trial %d path %d->%d: fresh %v, tree %v", trial, tr.Root, v, want, buf)
+				}
+			} else if want, got := c.HopDistance(&s, tr.Root, v, set), tr.DistTo(v); want != got {
+				t.Fatalf("trial %d dist %d->%d: fresh %d, tree %d", trial, tr.Root, v, want, got)
+			}
+		}
+		for _, tr := range trees {
+			for v := 0; v < n; v++ {
+				tr.DistTo(v)
+			}
+			dist, parent, order := eagerSPT(c, tr.Root, set)
+			if len(order) != len(tr.order) {
+				t.Fatalf("trial %d root %d: grown tree reached %d nodes, eager %d", trial, tr.Root, len(tr.order), len(order))
+			}
+			for i, u := range order {
+				if tr.order[i] != u {
+					t.Fatalf("trial %d root %d: order[%d] = %d, eager %d", trial, tr.Root, i, tr.order[i], u)
+				}
+			}
+			for v := 0; v < n; v++ {
+				if got := tr.DistTo(v); got != int(dist[v]) {
+					t.Fatalf("trial %d root %d: dist[%d] = %d, eager %d", trial, tr.Root, v, got, dist[v])
+				}
+				if dist[v] > 0 && tr.parent[v] != parent[v] {
+					t.Fatalf("trial %d root %d: parent[%d] = %d, eager %d", trial, tr.Root, v, tr.parent[v], parent[v])
 				}
 			}
 		}
@@ -222,24 +327,21 @@ func TestNodeSet(t *testing.T) {
 	}
 }
 
-// TestSPTQueryAllocsZero pins the steady-state cost of a cached-SPT path
-// query: with the tree built and the output buffer warm, extracting a path
-// or a distance must not allocate.
+// TestSPTQueryAllocsZero pins the steady-state cost of an SPT path query:
+// with the tree grown past the target and the output buffer warm,
+// extracting a path or a distance must not allocate.
 func TestSPTQueryAllocsZero(t *testing.T) {
 	g := gridGraph(16, 16)
 	c := NewCSR(g)
-	trees, _, err := BuildSPTs(c, []int{0}, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := trees[0]
+	tr := NewSPT(c, 0, nil)
 	buf := make([]int, 0, 64)
+	buf = tr.PathTo(255, buf[:0]) // grow the tree
 	allocs := testing.AllocsPerRun(100, func() {
 		buf = tr.PathTo(255, buf[:0])
 		_ = tr.DistTo(128)
 	})
 	if allocs != 0 {
-		t.Errorf("cached SPT query allocates %.1f per run, want 0", allocs)
+		t.Errorf("grown SPT query allocates %.1f per run, want 0", allocs)
 	}
 }
 

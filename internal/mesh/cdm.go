@@ -22,14 +22,7 @@ func buildCDG(kn *surfKernel, lms *Landmarks) []Edge {
 	seen := make(map[Edge]bool)
 	var edges []Edge
 	for u := 0; u < kn.csr.Len(); u++ {
-		if !kn.member.Has(u) || lms.Assoc[u] == NoLandmark {
-			continue
-		}
-		for _, v32 := range kn.csr.Neighbors(u) {
-			v := int(v32)
-			if !kn.member.Has(v) || lms.Assoc[v] == NoLandmark {
-				continue
-			}
+		for _, v := range kn.csr.Neighbors(u) {
 			if lms.Assoc[u] == lms.Assoc[v] {
 				continue
 			}
@@ -135,63 +128,12 @@ func pathNonInterleaved(path []int, assoc []int, i, j int) bool {
 	return true
 }
 
-// overlay is the growing virtual-edge graph of the triangulation pass,
-// kept as sorted adjacency slices maintained incrementally — the fixpoint
-// loop below used to rebuild and re-sort the full vertex and neighbor
-// lists every round, which dominated the pass on dense meshes.
-type overlay struct {
-	verts []int         // sorted vertex list
-	nbrs  map[int][]int // sorted neighbor lists
-}
-
-// insertSorted inserts v into sorted slice s if absent.
-func insertSorted(s []int, v int) []int {
-	at := sort.SearchInts(s, v)
-	if at < len(s) && s[at] == v {
-		return s
-	}
-	s = append(s, 0)
-	copy(s[at+1:], s[at:])
-	s[at] = v
-	return s
-}
-
-func (o *overlay) link(e Edge) {
-	if _, ok := o.nbrs[e[0]]; !ok {
-		o.verts = insertSorted(o.verts, e[0])
-	}
-	if _, ok := o.nbrs[e[1]]; !ok {
-		o.verts = insertSorted(o.verts, e[1])
-	}
-	o.nbrs[e[0]] = insertSorted(o.nbrs[e[0]], e[1])
-	o.nbrs[e[1]] = insertSorted(o.nbrs[e[1]], e[0])
-}
-
-// common intersects two sorted neighbor lists, appending into out
-// (ascending — the deterministic corner order the fill relies on).
-func (o *overlay) common(a, b int, out []int) []int {
-	na, nb := o.nbrs[a], o.nbrs[b]
-	i, j := 0, 0
-	for i < len(na) && j < len(nb) {
-		switch {
-		case na[i] < nb[j]:
-			i++
-		case na[i] > nb[j]:
-			j++
-		default:
-			out = append(out, na[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // triangulate performs step IV: route a connection packet along the
 // shortest boundary path for every not-yet-connected nearby landmark pair;
 // the packet is dropped at any intermediate node already carrying a virtual
 // edge disjoint from the pair (crossing avoidance); otherwise the edge is
-// added and its path nodes claimed.
+// added to fg and its path nodes claimed. It returns the number of edges
+// added.
 //
 // Candidates are the unconnected CDG pairs plus the pairs at distance two
 // in the CDG (landmarks sharing a CDG neighbor): when four or more Voronoi
@@ -200,25 +142,7 @@ func (o *overlay) common(a, b int, out []int) []int {
 // could never split those polygons into triangles. Candidates are processed
 // shortest-realization first, ties broken lexicographically, making the
 // greedy fill deterministic.
-func triangulate(kn *surfKernel, cdg []Edge, cdm *cdmResult, edgeSet, forbidden map[Edge]bool) []Edge {
-	ov := overlay{nbrs: make(map[int][]int)}
-	seed := make([]Edge, 0, len(edgeSet))
-	for e := range edgeSet {
-		seed = append(seed, e)
-	}
-	sortEdges(seed)
-	for _, e := range seed {
-		ov.link(e)
-	}
-	// faceCount tracks how many triangles each connected edge borders;
-	// the fill below never pushes any edge past two.
-	faceCount := make(map[Edge]int)
-	for _, f := range enumerateFaces(seed) {
-		faceCount[mkEdge(f[0], f[1])]++
-		faceCount[mkEdge(f[0], f[2])]++
-		faceCount[mkEdge(f[1], f[2])]++
-	}
-
+func triangulate(kn *surfKernel, cdg []Edge, cdm *cdmResult, fg *faceGraph, forbidden map[Edge]bool) int {
 	var cornerBuf []int
 
 	// tryAdd accepts a candidate edge when it was never retired by a
@@ -226,16 +150,16 @@ func triangulate(kn *surfKernel, cdg []Edge, cdm *cdmResult, edgeSet, forbidden 
 	// triangle it completes keeps all involved edges within the two-face
 	// budget.
 	tryAdd := func(e Edge) bool {
-		if edgeSet[e] || forbidden[e] {
+		if fg.has(e) || forbidden[e] {
 			return false
 		}
-		corners := ov.common(e[0], e[1], cornerBuf[:0])
+		corners := fg.common(e[0], e[1], cornerBuf[:0])
 		cornerBuf = corners
 		if len(corners) == 0 || len(corners) > 2 {
 			return false
 		}
 		for _, c := range corners {
-			if faceCount[mkEdge(e[0], c)]+1 > 2 || faceCount[mkEdge(e[1], c)]+1 > 2 {
+			if fg.faces[mkEdge(e[0], c)]+1 > 2 || fg.faces[mkEdge(e[1], c)]+1 > 2 {
 				return false
 			}
 		}
@@ -248,23 +172,17 @@ func triangulate(kn *surfKernel, cdg []Edge, cdm *cdmResult, edgeSet, forbidden 
 				return false
 			}
 		}
-		edgeSet[e] = true
-		ov.link(e)
-		for _, c := range corners {
-			faceCount[e]++
-			faceCount[mkEdge(e[0], c)]++
-			faceCount[mkEdge(e[1], c)]++
-		}
+		fg.add(e)
 		cdm.claim(e, path)
 		return true
 	}
 
-	var added []Edge
+	added := 0
 	// Pass 1: unconnected CDG pairs (cell-adjacent landmarks), the
 	// paper's candidates, in sorted order.
 	for _, e := range cdg {
 		if tryAdd(e) {
-			added = append(added, e)
+			added++
 		}
 	}
 	// Pass 2 (iterated to a fixpoint): pairs at distance two in the
@@ -278,14 +196,14 @@ func triangulate(kn *surfKernel, cdg []Edge, cdm *cdmResult, edgeSet, forbidden 
 	var verts, nbrsSnap []int
 	for {
 		progress := false
-		verts = append(verts[:0], ov.verts...)
+		verts = append(verts[:0], fg.verts...)
 		for _, mid := range verts {
-			nbrsSnap = append(nbrsSnap[:0], ov.nbrs[mid]...)
+			nbrsSnap = append(nbrsSnap[:0], fg.nbrs[mid]...)
 			for x := 0; x < len(nbrsSnap); x++ {
 				for y := x + 1; y < len(nbrsSnap); y++ {
 					e := mkEdge(nbrsSnap[x], nbrsSnap[y])
 					if tryAdd(e) {
-						added = append(added, e)
+						added++
 						progress = true
 					}
 				}
@@ -295,6 +213,5 @@ func triangulate(kn *surfKernel, cdg []Edge, cdm *cdmResult, edgeSet, forbidden 
 			break
 		}
 	}
-	sortEdges(added)
 	return added
 }

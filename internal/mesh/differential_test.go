@@ -149,7 +149,7 @@ func compareSurfaces(t *testing.T, label string, want, got *Surface) {
 // gate: the CSR+SPT pipeline must reproduce the pre-kernel implementation
 // bit for bit on every detected group of every fixture — sphere, cube, and
 // torus deployments, the cube also under fault-injected detection — with
-// the SPT cache both on and off.
+// the shortest-path trees both on and off.
 func TestSurfaceMatchesReferenceImplementation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential fixtures are expensive")
@@ -175,32 +175,39 @@ func TestSurfaceMatchesReferenceImplementation(t *testing.T) {
 	}
 }
 
-// TestSurfaceSPTPathsBitIdentical pins the narrower property the cache
-// design rests on: for every landmark pair of a real detected group, the
-// cached tree's extracted path equals graph.ShortestPath exactly.
+// TestSurfaceSPTPathsBitIdentical pins the narrower property the on-demand
+// trees rest on: for every landmark pair of a real detected group, queried
+// in an order that pauses and resumes each tree many times, the tree's
+// extracted path and distance equal graph.ShortestPath exactly.
 func TestSurfaceSPTPathsBitIdentical(t *testing.T) {
 	fx := detectGroups(t, "sphere", shapes.NewBall(geom.Zero, 4), 350, 800, 62, sim.FaultConfig{})
-	group := fx.groups[0]
 	g := fx.net.G
-	inGroup := make([]bool, g.Len())
-	for _, v := range group {
-		inGroup[v] = true
-	}
-	kn := newSurfKernel(g, inGroup, false)
-	lms, err := electLandmarks(kn, group, 3, 1)
+	members := sortedMembers(fx.groups[0])
+	csr, err := compactGroup(&groupCompactor{}, g.Len(), members, func(v int) []int { return g.Adj[v] })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := kn.cacheSPTs(lms.IDs, 2); err != nil {
+	kn := newSurfKernel(csr, false)
+	lms, err := electLandmarks(kn, 3)
+	if err != nil {
 		t.Fatal(err)
+	}
+	inGroup := make([]bool, g.Len())
+	for _, v := range members {
+		inGroup[v] = true
 	}
 	member := graph.InSet(inGroup)
 	for i, a := range lms.IDs {
 		for _, b := range lms.IDs[i+1:] {
-			want := g.ShortestPath(a, b, member)
+			want := g.ShortestPath(members[a], members[b], member)
 			got := kn.path(mkEdge(a, b))
-			if !intsEqual(want, got) {
-				t.Fatalf("path %d-%d: fresh %v, cached %v", a, b, want, got)
+			if len(want) != len(got) {
+				t.Fatalf("path %d-%d: fresh %v, tree %v", a, b, want, got)
+			}
+			for j, u := range got {
+				if members[u] != want[j] {
+					t.Fatalf("path %d-%d: fresh %v, tree %v", a, b, want, got)
+				}
 			}
 			if want != nil {
 				if d := kn.dist(a, b); d != len(want)-1 {
@@ -210,6 +217,6 @@ func TestSurfaceSPTPathsBitIdentical(t *testing.T) {
 		}
 	}
 	if kn.hits == 0 {
-		t.Fatal("SPT cache recorded no hits")
+		t.Fatal("no query was answered from a tree")
 	}
 }

@@ -4,97 +4,182 @@ import (
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/par"
 )
 
 // Face is a triangle of landmark IDs, stored ascending.
 type Face [3]int
 
-func mkFace(a, b, c int) Face {
-	if a > b {
-		a, b = b, a
+// faceGraph is the virtual-edge graph of steps IV and V with its triangle
+// bookkeeping kept current under every edge insertion and removal: sorted
+// adjacency slices, the number of triangles through each edge (the common
+// neighbors of its endpoints), and the set of over-shared edges (three or
+// more triangles). Adding an edge adds one triangle per common neighbor of
+// its endpoints; removing one drops the triangles through it. Neither
+// re-sorts or re-enumerates the mesh, which is what used to dominate the
+// fill and flip passes on dense meshes.
+type faceGraph struct {
+	verts []int         // sorted list of every vertex ever linked
+	nbrs  map[int][]int // sorted neighbor lists
+	faces map[Edge]int  // every present edge → triangles through it
+	over  map[Edge]bool // present edges bordering three or more triangles
+	buf   []int
+}
+
+func newFaceGraph(edges []Edge) *faceGraph {
+	fg := &faceGraph{
+		nbrs:  make(map[int][]int),
+		faces: make(map[Edge]int, len(edges)),
+		over:  make(map[Edge]bool),
 	}
-	if b > c {
-		b, c = c, b
+	for _, e := range edges {
+		fg.add(e)
 	}
-	if a > b {
-		a, b = b, a
+	return fg
+}
+
+func (fg *faceGraph) has(e Edge) bool {
+	_, ok := fg.faces[e]
+	return ok
+}
+
+// shift moves edge e's triangle count by delta and refiles it.
+func (fg *faceGraph) shift(e Edge, delta int) {
+	n := fg.faces[e] + delta
+	fg.faces[e] = n
+	if n >= 3 {
+		fg.over[e] = true
+	} else {
+		delete(fg.over, e)
 	}
-	return Face{a, b, c}
+}
+
+// add inserts edge e (no-op when present) with the triangles it closes.
+func (fg *faceGraph) add(e Edge) {
+	if fg.has(e) {
+		return
+	}
+	fg.buf = fg.common(e[0], e[1], fg.buf[:0])
+	for _, c := range fg.buf {
+		fg.shift(mkEdge(e[0], c), 1)
+		fg.shift(mkEdge(e[1], c), 1)
+	}
+	fg.faces[e] = 0
+	fg.shift(e, len(fg.buf))
+	fg.link(e)
+}
+
+// remove deletes edge e and the triangles through it.
+func (fg *faceGraph) remove(e Edge) {
+	fg.unlink(e)
+	delete(fg.faces, e)
+	delete(fg.over, e)
+	fg.buf = fg.common(e[0], e[1], fg.buf[:0])
+	for _, c := range fg.buf {
+		fg.shift(mkEdge(e[0], c), -1)
+		fg.shift(mkEdge(e[1], c), -1)
+	}
+}
+
+// insertSorted inserts v into sorted slice s if absent.
+func insertSorted(s []int, v int) []int {
+	at := sort.SearchInts(s, v)
+	if at < len(s) && s[at] == v {
+		return s
+	}
+	s = append(s, 0)
+	copy(s[at+1:], s[at:])
+	s[at] = v
+	return s
+}
+
+func (fg *faceGraph) link(e Edge) {
+	if _, ok := fg.nbrs[e[0]]; !ok {
+		fg.verts = insertSorted(fg.verts, e[0])
+	}
+	if _, ok := fg.nbrs[e[1]]; !ok {
+		fg.verts = insertSorted(fg.verts, e[1])
+	}
+	fg.nbrs[e[0]] = insertSorted(fg.nbrs[e[0]], e[1])
+	fg.nbrs[e[1]] = insertSorted(fg.nbrs[e[1]], e[0])
+}
+
+// unlink removes edge e. Its endpoints stay in verts; a vertex left
+// without neighbors contributes no candidate pairs to the fill.
+func (fg *faceGraph) unlink(e Edge) {
+	fg.nbrs[e[0]] = removeSorted(fg.nbrs[e[0]], e[1])
+	fg.nbrs[e[1]] = removeSorted(fg.nbrs[e[1]], e[0])
+}
+
+// removeSorted deletes v from sorted slice s if present.
+func removeSorted(s []int, v int) []int {
+	at := sort.SearchInts(s, v)
+	if at == len(s) || s[at] != v {
+		return s
+	}
+	return append(s[:at], s[at+1:]...)
+}
+
+// common intersects two sorted neighbor lists, appending into out
+// (ascending — the deterministic corner order the fill relies on).
+func (fg *faceGraph) common(a, b int, out []int) []int {
+	na, nb := fg.nbrs[a], fg.nbrs[b]
+	i, j := 0, 0
+	for i < len(na) && j < len(nb) {
+		switch {
+		case na[i] < nb[j]:
+			i++
+		case na[i] > nb[j]:
+			j++
+		default:
+			out = append(out, na[i])
+			i++
+			j++
+		}
+	}
+	return out
+}
+
+// worst returns the smallest over-shared edge, if any.
+func (fg *faceGraph) worst() (Edge, bool) {
+	var bad Edge
+	found := false
+	for e := range fg.over {
+		if !found || e[0] < bad[0] || (e[0] == bad[0] && e[1] < bad[1]) {
+			bad, found = e, true
+		}
+	}
+	return bad, found
+}
+
+// edges returns the present edges, sorted.
+func (fg *faceGraph) edges() []Edge {
+	out := make([]Edge, 0, len(fg.faces))
+	for e := range fg.faces {
+		out = append(out, e)
+	}
+	sortEdges(out)
+	return out
+}
+
+// faceList returns every triangle once, sorted: each face (a, b, c) with
+// a < b < c is found from its smallest edge (a, b) and its largest corner.
+func (fg *faceGraph) faceList() []Face {
+	var faces []Face
+	for _, e := range fg.edges() {
+		fg.buf = fg.common(e[0], e[1], fg.buf[:0])
+		for _, c := range fg.buf {
+			if c > e[1] {
+				faces = append(faces, Face{e[0], e[1], c})
+			}
+		}
+	}
+	return faces
 }
 
 // enumerateFaces lists the 3-cliques of the virtual-edge graph — the
-// triangular faces of the mesh.
+// triangular faces of the mesh — sorted.
 func enumerateFaces(edges []Edge) []Face {
-	return enumerateFacesPar(edges, 1)
-}
-
-// enumerateFacesPar is enumerateFaces with the per-edge common-neighbor
-// scan fanned out over contiguous edge chunks. Each chunk collects
-// candidate faces privately (reading the shared adjacency map only); the
-// merge dedupes and the final sort fixes the order, so the result is
-// identical at every worker width — the sequential scan dedupes and sorts
-// the same way.
-func enumerateFacesPar(edges []Edge, workers int) []Face {
-	adj := make(map[int]map[int]bool)
-	addDir := func(a, b int) {
-		if adj[a] == nil {
-			adj[a] = make(map[int]bool)
-		}
-		adj[a][b] = true
-	}
-	for _, e := range edges {
-		addDir(e[0], e[1])
-		addDir(e[1], e[0])
-	}
-	scan := func(chunk []Edge, out []Face) []Face {
-		for _, e := range chunk {
-			for c := range adj[e[0]] {
-				if c == e[1] || !adj[e[1]][c] {
-					continue
-				}
-				out = append(out, mkFace(e[0], e[1], c))
-			}
-		}
-		return out
-	}
-	var found []Face
-	if workers > 1 && len(edges) >= 4*workers {
-		chunks := workers
-		parts := make([][]Face, chunks)
-		// Scanning can only misbehave by panicking, which par.For turns
-		// into an error; that cannot happen on an initialized adjacency
-		// map, so the error is ignored like the sequential path's.
-		_ = par.For(chunks, workers, func(_, c int) error {
-			lo := c * len(edges) / chunks
-			hi := (c + 1) * len(edges) / chunks
-			parts[c] = scan(edges[lo:hi], nil)
-			return nil
-		})
-		for _, p := range parts {
-			found = append(found, p...)
-		}
-	} else {
-		found = scan(edges, nil)
-	}
-	seen := make(map[Face]bool, len(found))
-	faces := found[:0]
-	for _, f := range found {
-		if !seen[f] {
-			seen[f] = true
-			faces = append(faces, f)
-		}
-	}
-	sort.Slice(faces, func(i, j int) bool {
-		if faces[i][0] != faces[j][0] {
-			return faces[i][0] < faces[j][0]
-		}
-		if faces[i][1] != faces[j][1] {
-			return faces[i][1] < faces[j][1]
-		}
-		return faces[i][2] < faces[j][2]
-	})
-	return faces
+	return newFaceGraph(edges).faceList()
 }
 
 // faceCorners maps each edge to the third vertices of its incident faces.
@@ -119,63 +204,41 @@ func faceCorners(faces []Face) map[Edge][]int {
 //
 // Returns the final edge set and the number of flips applied.
 func flipEdges(g *graph.Graph, member func(int) bool, edges []Edge, maxIter int) ([]Edge, int) {
-	edgeSet := make(map[Edge]bool, len(edges))
-	for _, e := range edges {
-		edgeSet[e] = true
-	}
+	fg := newFaceGraph(edges)
 	dist := func(a, b int) int { return g.HopDistance(a, b, member) }
-	flips := flipPass(dist, edgeSet, make(map[Edge]bool), maxIter, 1)
-	return edgesFromSet(edgeSet), flips
+	flips := flipPass(dist, fg, make(map[Edge]bool), maxIter)
+	return fg.edges(), flips
 }
 
-// flipPass mutates edgeSet in place, marking every retired edge in removed.
+// flipPass flips fg in place, marking every retired edge in removed.
 // Monotonicity — an edge in removed is never re-added, here or by later
 // triangulation passes — guarantees termination and prevents the
 // oscillation a naive flip loop exhibits. dist measures landmark hop
 // distance through the boundary subgraph (the surface pipeline answers it
-// from the SPT cache in O(1); the exported flipEdges wrapper falls back to
-// a fresh BFS per pair). workers bounds the face-enumeration parallelism
-// of each iteration; the flip sequence itself is a deterministic serial
-// fixpoint either way.
-func flipPass(dist func(a, b int) int, edgeSet, removed map[Edge]bool, maxIter, workers int) int {
+// from the landmark's shortest-path tree; the flipEdges wrapper falls back
+// to a fresh BFS per pair). Each flip picks the smallest over-shared edge,
+// so the sequence is a deterministic serial fixpoint.
+func flipPass(dist func(a, b int) int, fg *faceGraph, removed map[Edge]bool, maxIter int) int {
 	flips := 0
 	for iter := 0; iter < maxIter; iter++ {
-		cur := edgesFromSet(edgeSet)
-		corners := faceCorners(enumerateFacesPar(cur, workers))
-		// Deterministic pick: the smallest over-shared edge.
-		var bad *Edge
-		for _, e := range cur {
-			if len(corners[e]) >= 3 {
-				e := e
-				bad = &e
-				break
-			}
-		}
-		if bad == nil {
+		bad, ok := fg.worst()
+		if !ok {
 			return flips
 		}
-		delete(edgeSet, *bad)
-		removed[*bad] = true
+		// The far corners, ascending: the common neighbors of the
+		// over-shared edge's endpoints.
+		cs := fg.common(bad[0], bad[1], nil)
+		fg.remove(bad)
+		removed[bad] = true
 		flips++
 		// Connect the far corners by their hop-distance MST.
-		cs := append([]int(nil), corners[*bad]...)
-		sort.Ints(cs)
 		for _, e := range cornerMST(dist, cs) {
 			if !removed[e] {
-				edgeSet[e] = true
+				fg.add(e)
 			}
 		}
 	}
 	return flips
-}
-
-func edgesFromSet(set map[Edge]bool) []Edge {
-	out := make([]Edge, 0, len(set))
-	for e := range set {
-		out = append(out, e)
-	}
-	sortEdges(out)
-	return out
 }
 
 // cornerMST returns the minimum-spanning-tree edges over the given corner

@@ -20,16 +20,17 @@ package mesh
 // one radio range R around p — the dirty ball — so only groups
 // intersecting that ball can be invalidated; DESIGN.md §15 derives this.)
 //
-// Cache-miss rebuilds run in a compacted ID space: the group's induced
-// subgraph is re-indexed to [0, |S|) by the monotone (ascending) member
-// renaming, built straight into a CSR, and the finished surface is renamed
-// back. Every mesh operation is order- and comparison-based — ascending
-// greedy election, min-ID tie-breaks, normalized edges, lexicographic
-// sorts — and a monotone renaming preserves all comparisons, so the
-// compact-space surface renames back to exactly the surface a from-scratch
-// whole-network Build produces (the incremental differential matrix
-// enforces this). The compaction is what makes repairs cheap: BFS arrays,
-// SPTs, and scratch all scale with the group, not the network.
+// Cache-miss rebuilds run on the same compact per-group kernel as Build:
+// the group's induced subgraph is re-indexed to [0, |S|) by the monotone
+// (ascending) member renaming, built straight into a CSR, and the finished
+// surface is renamed back. Every mesh operation is order- and
+// comparison-based — ascending greedy election, min-ID tie-breaks,
+// normalized edges, lexicographic sorts — and a monotone renaming
+// preserves all comparisons, so the compact-space surface renames back to
+// exactly the surface the whole-network reference implementation computes
+// (the differential suites enforce this). The compaction is what makes
+// repairs cheap: BFS arrays, shortest-path trees, and scratch all scale
+// with the group, not the network.
 
 import (
 	"context"
@@ -86,13 +87,10 @@ type Incremental struct {
 
 	entries []*meshEntry
 
-	// Rebuild scratch, reused across misses. rowPtr/col are aliased by
-	// the compact CSR only during a rebuild; the CSR is discarded before
-	// the next rebuild starts, so reuse is safe.
-	s2c    []int32 // stable → compact, valid only at member indices
-	rowPtr []int32
-	col    []int32
-	seq    []int // the identity group [0, m) in compact space
+	// Rebuild scratch, reused across misses. The compact CSR aliases it
+	// only during a rebuild and is discarded before the next one starts,
+	// so reuse is safe.
+	compactor groupCompactor
 }
 
 // NewIncremental returns an empty engine building surfaces under cfg
@@ -182,7 +180,7 @@ func (e *Incremental) Surfaces(ctx context.Context, o obs.Observer, topo Topolog
 			continue
 		}
 		e.misses++
-		surf, err := e.rebuild(ctx, o, topo, group)
+		surf, err := buildGroup(ctx, o, &e.compactor, topo.Len(), group, topo.Neighbors, e.cfg)
 		if err != nil {
 			return dst, fmt.Errorf("group %d: %w", gi, err)
 		}
@@ -262,82 +260,12 @@ func (e *Incremental) insert(group []int, universe int, surf *Surface) {
 	e.entries = append(e.entries, ent)
 }
 
-// rebuild constructs one group's surface from the live topology in
-// compacted ID space, then renames the result back to stable IDs.
-func (e *Incremental) rebuild(ctx context.Context, o obs.Observer, topo Topology, group []int) (*Surface, error) {
-	m := len(group)
-	n := topo.Len()
-
-	// Membership bitset first, then the stable→compact map (read only at
-	// member indices, so stale garbage elsewhere is harmless).
-	member := graph.NewNodeSet(n)
-	for _, v := range group {
-		member.Add(v)
-	}
-	if cap(e.s2c) < n {
-		e.s2c = make([]int32, n)
-	}
-	s2c := e.s2c[:n]
-	for i, v := range group {
-		s2c[v] = int32(i)
-	}
-
-	// Induced subgraph as a compact CSR. Stable rows are ascending and
-	// the renaming is monotone, so compact rows stay ascending — the scan
-	// order every whole-network traversal sees after membership
-	// filtering.
-	rowPtr := append(e.rowPtr[:0], 0)
-	col := e.col[:0]
-	for _, v := range group {
-		for _, x := range topo.Neighbors(v) {
-			if member.Has(int(x)) {
-				col = append(col, s2c[x])
-			}
-		}
-		rowPtr = append(rowPtr, int32(len(col)))
-	}
-	e.rowPtr, e.col = rowPtr, col
-	csr, err := graph.NewCSRFromParts(rowPtr, col)
-	if err != nil {
-		return nil, err
-	}
-
-	seq := e.seq[:0]
-	for i := 0; i < m; i++ {
-		seq = append(seq, i)
-	}
-	e.seq = seq
-
-	surf, err := buildOnKernel(ctx, o, newSurfKernelFromCSR(csr, e.cfg.noSPT), seq, e.cfg)
-	if err != nil {
-		return nil, err
-	}
-	renameSurface(surf, group, n)
-	return surf, nil
-}
-
 // renameSurface maps a compact-space surface back to stable IDs in place.
 // The member renaming is monotone, so normalized edge endpoints, ascending
 // face triples, and every sorted order survive the renaming untouched.
 func renameSurface(s *Surface, members []int, universe int) {
 	s.Group = append(s.Group[:0:0], members...)
-	for i, lm := range s.Landmarks.IDs {
-		s.Landmarks.IDs[i] = members[lm]
-	}
-	assoc := make([]int, universe)
-	hops := make([]int, universe)
-	for i := range assoc {
-		assoc[i] = NoLandmark
-		hops[i] = graph.Unreachable
-	}
-	for i, a := range s.Landmarks.Assoc {
-		if a != NoLandmark {
-			assoc[members[i]] = members[a]
-			hops[members[i]] = s.Landmarks.Hops[i]
-		}
-	}
-	s.Landmarks.Assoc = assoc
-	s.Landmarks.Hops = hops
+	renameLandmarks(s.Landmarks, members, universe)
 	renameEdges(s.CDG, members)
 	renameEdges(s.CDM, members)
 	renameEdges(s.Edges, members)

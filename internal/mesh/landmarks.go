@@ -22,7 +22,6 @@ import (
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/par"
 )
 
 // ErrBadK is returned when the landmark spacing is not positive.
@@ -57,135 +56,111 @@ func ElectLandmarks(g *graph.Graph, group []int, k int) (*Landmarks, error) {
 	if k < 1 {
 		return nil, ErrBadK
 	}
-	inGroup := make([]bool, g.Len())
-	for _, v := range group {
-		inGroup[v] = true
+	members := sortedMembers(group)
+	csr, err := compactGroup(&groupCompactor{}, g.Len(), members, func(v int) []int { return g.Adj[v] })
+	if err != nil {
+		return nil, err
 	}
-	return electLandmarks(newSurfKernel(g, inGroup, true), group, k, 1)
+	lms, err := electLandmarks(newSurfKernel(csr, true), k)
+	if err != nil {
+		return nil, err
+	}
+	renameLandmarks(lms, members, g.Len())
+	return lms, nil
 }
 
-// electLandmarks is the CSR-backed election the surface pipeline uses; the
-// kernel's scratch is reused across the per-candidate and per-landmark
-// traversals, and only reached nodes are scanned (the allocating slice
-// path scanned the full distance array after every BFS).
+// electLandmarks runs step I on a compact group kernel (every node of the
+// CSR a member). The greedy election scans candidates in ascending ID
+// order with one k-hop search per winner.
 //
-// The greedy election itself is inherently sequential (each winner's k-hop
-// ball gates later candidates), but the association sweep — one unlimited
-// BFS per landmark — is not: workers > 1 splits the ascending landmark
-// list into contiguous chunks claimed independently and merges the chunk
-// results in landmark order. The final owner of every node is the
-// lexicographic (distance, landmark-ID) minimum either way, so the result
-// is bit-identical at every width.
-func electLandmarks(kn *surfKernel, group []int, k, workers int) (*Landmarks, error) {
+// Association is one multi-source BFS seeded with every landmark — the
+// Voronoi flood. Hops is the BFS layer, the distance to the nearest
+// landmark. A node's owner is the smallest owner among its parents in the
+// previous layer: every landmark at the minimum distance d from u reaches
+// u through some neighbor at distance d−1, whose own owner is the smallest
+// landmark at that distance from it. So the owner is the (hops,
+// landmark-ID) minimum the paper's closest-landmark rule asks for, and the
+// whole association costs one traversal of the group.
+func electLandmarks(kn *surfKernel, k int) (*Landmarks, error) {
 	if k < 1 {
 		return nil, ErrBadK
 	}
-	n := kn.csr.Len()
-	sorted := append([]int(nil), group...)
-	sort.Ints(sorted)
-
-	covered := make([]bool, n)
+	m := kn.csr.Len()
+	covered := make([]bool, m)
 	var ids []int
 	src := make([]int, 1)
-	for _, v := range sorted {
+	for v := 0; v < m; v++ {
 		if covered[v] {
 			continue
 		}
 		ids = append(ids, v)
 		src[0] = v
-		kn.csr.BFSHops(&kn.scratch, src, kn.member, k)
+		kn.csr.BFSHops(&kn.scratch, src, nil, k)
 		for _, u := range kn.scratch.Reached() {
 			covered[u] = true
 		}
 	}
 
-	assoc := make([]int, n)
-	hops := make([]int, n)
+	assoc := make([]int, m)
+	hops := make([]int, m)
 	for i := range assoc {
 		assoc[i] = NoLandmark
 		hops[i] = graph.Unreachable
 	}
-	if workers > 1 && len(ids) >= 2*workers {
-		if err := associateChunked(kn, ids, assoc, hops, workers); err != nil {
-			return nil, err
+	kn.csr.BFSHops(&kn.scratch, ids, nil, -1)
+	for _, u32 := range kn.scratch.Reached() {
+		u := int(u32)
+		d := kn.scratch.Dist(u)
+		hops[u] = d
+		if d == 0 {
+			assoc[u] = u
+			continue
 		}
-		return &Landmarks{IDs: ids, Assoc: assoc, Hops: hops}, nil
-	}
-	// Closest-landmark association with smallest-ID tiebreak: BFS from
-	// each landmark in ascending ID order, claiming strictly closer
-	// nodes only.
-	for _, lm := range ids {
-		src[0] = lm
-		kn.csr.BFSHops(&kn.scratch, src, kn.member, -1)
-		for _, u := range kn.scratch.Reached() {
-			d := kn.scratch.Dist(int(u))
-			if hops[u] == graph.Unreachable || d < hops[u] {
-				hops[u] = d
-				assoc[u] = lm
+		// Parents were all placed before u: BFS order is layer order.
+		owner := NoLandmark
+		for _, p := range kn.csr.Neighbors(u) {
+			if hops[p] == d-1 && (owner == NoLandmark || assoc[p] < owner) {
+				owner = assoc[p]
 			}
 		}
+		assoc[u] = owner
 	}
 	return &Landmarks{IDs: ids, Assoc: assoc, Hops: hops}, nil
 }
 
-// associateChunked is the parallel association sweep: contiguous ascending
-// chunks of the landmark list, each claiming into private (assoc, hops)
-// arrays with the sequential rule, merged back in chunk order. Claiming
-// strictly closer nodes within a chunk and preferring the earlier chunk on
-// ties reproduces the global (distance, landmark-ID)-minimum owner exactly.
-// Per-chunk scratches keep the traversals race-free; their work counters
-// fold back into the kernel so the observable BFS totals match the
-// sequential sweep.
-func associateChunked(kn *surfKernel, ids []int, assoc, hops []int, workers int) error {
-	n := kn.csr.Len()
-	chunks := workers
-	if chunks > len(ids) {
-		chunks = len(ids)
-	}
-	type chunkState struct {
-		scratch graph.Scratch
-		assoc   []int
-		hops    []int
-	}
-	states := make([]*chunkState, chunks)
-	err := par.For(chunks, workers, func(_, c int) error {
-		st := &chunkState{assoc: make([]int, n), hops: make([]int, n)}
-		states[c] = st
-		for i := range st.assoc {
-			st.assoc[i] = NoLandmark
-			st.hops[i] = graph.Unreachable
+// sortedMembers returns group ascending and duplicate-free — the member
+// order that defines a group's compact IDs.
+func sortedMembers(group []int) []int {
+	members := append([]int(nil), group...)
+	sort.Ints(members)
+	w := 0
+	for i, v := range members {
+		if i == 0 || v != members[i-1] {
+			members[w] = v
+			w++
 		}
-		lo := c * len(ids) / chunks
-		hi := (c + 1) * len(ids) / chunks
-		src := make([]int, 1)
-		for _, lm := range ids[lo:hi] {
-			src[0] = lm
-			kn.csr.BFSHops(&st.scratch, src, kn.member, -1)
-			for _, u := range st.scratch.Reached() {
-				d := st.scratch.Dist(int(u))
-				if st.hops[u] == graph.Unreachable || d < st.hops[u] {
-					st.hops[u] = d
-					st.assoc[u] = lm
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
 	}
-	for _, st := range states {
-		for u, d := range st.hops {
-			if d == graph.Unreachable {
-				continue
-			}
-			if hops[u] == graph.Unreachable || d < hops[u] {
-				hops[u] = d
-				assoc[u] = st.assoc[u]
-			}
-		}
-		kn.scratch.Runs += st.scratch.Runs
-		kn.scratch.Visited += st.scratch.Visited
+	return members[:w]
+}
+
+// renameLandmarks maps a compact-space election back to stable IDs in
+// place, widening Assoc and Hops to the universe [0, universe).
+func renameLandmarks(l *Landmarks, members []int, universe int) {
+	for i, lm := range l.IDs {
+		l.IDs[i] = members[lm]
 	}
-	return nil
+	assoc := make([]int, universe)
+	hops := make([]int, universe)
+	for i := range assoc {
+		assoc[i] = NoLandmark
+		hops[i] = graph.Unreachable
+	}
+	for i, a := range l.Assoc {
+		if a != NoLandmark {
+			assoc[members[i]] = members[a]
+			hops[members[i]] = l.Hops[i]
+		}
+	}
+	l.Assoc = assoc
+	l.Hops = hops
 }

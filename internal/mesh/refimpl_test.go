@@ -120,7 +120,7 @@ func refTriangulate(g *graph.Graph, member func(int) bool, cdg []Edge, cdm *cdmR
 		link(e)
 	}
 	faceCount := make(map[Edge]int)
-	for _, f := range enumerateFaces(edgesFromSet(edgeSet)) {
+	for _, f := range refEnumerateFaces(edgesFromSet(edgeSet)) {
 		faceCount[mkEdge(f[0], f[1])]++
 		faceCount[mkEdge(f[0], f[2])]++
 		faceCount[mkEdge(f[1], f[2])]++
@@ -210,7 +210,7 @@ func refFlipPass(g *graph.Graph, member func(int) bool, edgeSet, removed map[Edg
 	flips := 0
 	for iter := 0; iter < maxIter; iter++ {
 		cur := edgesFromSet(edgeSet)
-		corners := faceCorners(enumerateFaces(cur))
+		corners := faceCorners(refEnumerateFaces(cur))
 		var bad *Edge
 		for _, e := range cur {
 			if len(corners[e]) >= 3 {
@@ -235,6 +235,57 @@ func refFlipPass(g *graph.Graph, member func(int) bool, edgeSet, removed map[Edg
 		}
 	}
 	return flips
+}
+
+// refEnumerateFaces is the map-of-maps 3-clique enumeration the flip pass
+// ran before faceGraph kept triangle counts incrementally: every common
+// neighbor of every edge's endpoints, deduplicated and sorted.
+func refEnumerateFaces(edges []Edge) []Face {
+	adj := make(map[int]map[int]bool)
+	addDir := func(a, b int) {
+		if adj[a] == nil {
+			adj[a] = make(map[int]bool)
+		}
+		adj[a][b] = true
+	}
+	for _, e := range edges {
+		addDir(e[0], e[1])
+		addDir(e[1], e[0])
+	}
+	seen := make(map[Face]bool)
+	var faces []Face
+	for _, e := range edges {
+		for c := range adj[e[0]] {
+			if c == e[1] || !adj[e[1]][c] {
+				continue
+			}
+			f := [3]int{e[0], e[1], c}
+			sort.Ints(f[:])
+			if !seen[f] {
+				seen[f] = true
+				faces = append(faces, f)
+			}
+		}
+	}
+	sort.Slice(faces, func(i, j int) bool {
+		if faces[i][0] != faces[j][0] {
+			return faces[i][0] < faces[j][0]
+		}
+		if faces[i][1] != faces[j][1] {
+			return faces[i][1] < faces[j][1]
+		}
+		return faces[i][2] < faces[j][2]
+	})
+	return faces
+}
+
+func edgesFromSet(set map[Edge]bool) []Edge {
+	out := make([]Edge, 0, len(set))
+	for e := range set {
+		out = append(out, e)
+	}
+	sortEdges(out)
+	return out
 }
 
 // refBuild replicates the pre-kernel BuildContext control flow on the
@@ -272,7 +323,7 @@ func refBuild(g *graph.Graph, group []int, cfg Config) (*Surface, error) {
 		}
 	}
 	final := edgesFromSet(edgeSet)
-	faces := enumerateFaces(final)
+	faces := refEnumerateFaces(final)
 
 	s := &Surface{
 		Group:     append([]int(nil), group...),

@@ -21,17 +21,18 @@ type Config struct {
 	// MaxRepairRounds bounds the fill↔flip alternation: each flip can
 	// open a polygon hole that another fill pass closes. Zero means 8.
 	MaxRepairRounds int
-	// Workers bounds the parallelism of the per-landmark shortest-path
-	// tree builds, the landmark-association BFS sweep, the face
-	// enumeration inside flip passes, and RefinedPositionsWorkers. Zero
-	// or negative means GOMAXPROCS; the constructed mesh is bit-identical
-	// at every width.
+	// Workers no longer bounds anything in surface construction, which
+	// is serial: association is one flood of the group, shortest-path
+	// trees grow only as far as their queries reach, and triangle counts
+	// are kept incrementally. It is accepted so existing callers compile;
+	// the mesh is the same at every value. (RefinedPositionsWorkers
+	// takes its own width.)
 	Workers int
 
-	// noSPT disables the shortest-path-tree cache so every path and
-	// distance query runs a fresh BFS — the slow reference mode the
-	// differential tests compare against. The constructed surface is
-	// bit-identical either way.
+	// noSPT disables the shortest-path trees so every path and distance
+	// query runs a fresh BFS — the slow reference mode the differential
+	// tests compare against. The constructed surface is bit-identical
+	// either way.
 	noSPT bool
 }
 
@@ -121,32 +122,53 @@ func Build(g *graph.Graph, group []int, cfg Config) (*Surface, error) {
 // flips applied). A nil o adds no cost, and observation never changes the
 // constructed mesh.
 func BuildContext(ctx context.Context, o obs.Observer, g *graph.Graph, group []int, cfg Config) (*Surface, error) {
-	cfg = cfg.withDefaults()
+	return buildGraphGroup(ctx, o, &groupCompactor{}, g, group, cfg.withDefaults())
+}
+
+// buildGraphGroup builds one group of g through buildGroup. The surface
+// keeps group, as given, for its Group field.
+func buildGraphGroup(ctx context.Context, o obs.Observer, c *groupCompactor, g *graph.Graph, group []int, cfg Config) (*Surface, error) {
 	if len(group) == 0 {
 		return nil, ErrEmptyGroup
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	inGroup := make([]bool, g.Len())
-	for _, v := range group {
-		inGroup[v] = true
+	surf, err := buildGroup(ctx, o, c, g.Len(), sortedMembers(group), func(v int) []int { return g.Adj[v] }, cfg)
+	if err != nil {
+		return nil, err
 	}
-	kn := newSurfKernel(g, inGroup, cfg.noSPT)
-	return buildOnKernel(ctx, o, kn, group, cfg)
+	surf.Group = append([]int(nil), group...)
+	return surf, nil
 }
 
-// buildOnKernel runs surface steps I–V on an already-constructed traversal
-// kernel. It is the shared tail of BuildContext and the incremental
-// engine's cache-miss rebuild (which supplies a compacted per-group
-// kernel instead of a whole-network one). cfg must already have its
-// defaults applied. The returned Surface's Group is a copy of group.
-func buildOnKernel(ctx context.Context, o obs.Observer, kn *surfKernel, group []int, cfg Config) (*Surface, error) {
+// buildGroup builds one group's surface on the compact CSR of its induced
+// subgraph and renames the result back to stable IDs — the one build path
+// behind Build, BuildAll and the engine's cache misses. members must be
+// ascending and duplicate-free; n is the stable-ID universe.
+func buildGroup[T int | int32](ctx context.Context, o obs.Observer, c *groupCompactor, n int, members []int, neighbors func(int) []T, cfg Config) (*Surface, error) {
+	csr, err := compactGroup(c, n, members, neighbors)
+	if err != nil {
+		return nil, err
+	}
+	surf, err := buildOnKernel(ctx, o, newSurfKernel(csr, cfg.noSPT), members, cfg)
+	if err != nil {
+		return nil, err
+	}
+	renameSurface(surf, members, n)
+	return surf, nil
+}
+
+// buildOnKernel runs surface steps I–V on the compact kernel of the group
+// members (ascending stable IDs; compact ID i is members[i]). The surface
+// comes back in compact IDs — renameSurface maps it to stable IDs and
+// fills in Group. cfg must already have its defaults applied.
+func buildOnKernel(ctx context.Context, o obs.Observer, kn *surfKernel, members []int, cfg Config) (*Surface, error) {
 	surfaceSpan := obs.Start(o, obs.StageSurface)
 	defer surfaceSpan.End()
 
 	lmSpan := obs.Start(o, obs.StageLandmarks)
-	lms, err := electLandmarks(kn, group, cfg.K, cfg.Workers)
+	lms, err := electLandmarks(kn, cfg.K)
 	lmSpan.End()
 	if err != nil {
 		return nil, err
@@ -154,9 +176,9 @@ func buildOnKernel(ctx context.Context, o obs.Observer, kn *surfKernel, group []
 	obs.Add(o, obs.StageLandmarks, obs.CtrLandmarks, int64(len(lms.IDs)))
 	if o != nil {
 		// Flight recorder: each winner of the k-hop election, in
-		// election order.
+		// election order, by stable ID.
 		for _, id := range lms.IDs {
-			obs.NodeTransition(o, obs.StageLandmarks, obs.TransLandmarkElect, id, 0)
+			obs.NodeTransition(o, obs.StageLandmarks, obs.TransLandmarkElect, members[id], 0)
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -171,13 +193,6 @@ func buildOnKernel(ctx context.Context, o obs.Observer, kn *surfKernel, group []
 		return nil, err
 	}
 
-	// Cache one shortest-path tree per landmark (in parallel): steps
-	// III–V only ever query landmark-pair paths and distances, which the
-	// trees answer in O(path length) instead of O(V+E) per query.
-	if err := kn.cacheSPTs(lms.IDs, cfg.Workers); err != nil {
-		return nil, err
-	}
-
 	cdmSpan := obs.Start(o, obs.StageCDM)
 	cdm := buildCDM(kn, lms, cdg)
 	cdmSpan.End()
@@ -186,11 +201,10 @@ func buildOnKernel(ctx context.Context, o obs.Observer, kn *surfKernel, group []
 	// Steps IV and V alternate until stable: triangulation fills
 	// polygons under the two-face budget, edge flips retire over-shared
 	// edges (opening holes the next fill pass can close). The shared
-	// forbidden set keeps the process monotone, so it terminates.
-	edgeSet := make(map[Edge]bool, len(cdm.edges))
-	for _, e := range cdm.edges {
-		edgeSet[e] = true
-	}
+	// forbidden set keeps the process monotone, so it terminates. Both
+	// steps edit one faceGraph, which keeps every edge's triangle count
+	// current across the whole loop.
+	fg := newFaceGraph(cdm.edges)
 	forbidden := make(map[Edge]bool)
 	flips := 0
 	for round := 0; round < cfg.MaxRepairRounds; round++ {
@@ -198,26 +212,25 @@ func buildOnKernel(ctx context.Context, o obs.Observer, kn *surfKernel, group []
 			return nil, err
 		}
 		triSpan := obs.Start(o, obs.StageTriangulate)
-		added := triangulate(kn, cdg, &cdm, edgeSet, forbidden)
+		added := triangulate(kn, cdg, &cdm, fg, forbidden)
 		triSpan.End()
 		flipSpan := obs.Start(o, obs.StageFlip)
-		f := flipPass(kn.dist, edgeSet, forbidden, cfg.MaxFlipIterations, cfg.Workers)
+		f := flipPass(kn.dist, fg, forbidden, cfg.MaxFlipIterations)
 		flipSpan.End()
 		obs.Add(o, obs.StageFlip, obs.CtrFlips, int64(f))
 		flips += f
-		if len(added) == 0 && f == 0 {
+		if added == 0 && f == 0 {
 			break
 		}
 	}
-	final := edgesFromSet(edgeSet)
-	faces := enumerateFacesPar(final, cfg.Workers)
+	final := fg.edges()
+	faces := fg.faceList()
 	obs.Add(o, obs.StageSurface, obs.CtrFaces, int64(len(faces)))
 	obs.Add(o, obs.StageSurface, obs.CtrBFSRuns, kn.runs())
 	obs.Add(o, obs.StageSurface, obs.CtrBFSNodesVisited, kn.visited())
 	obs.Add(o, obs.StageSurface, obs.CtrSPTCacheHits, kn.hits)
 
 	s := &Surface{
-		Group:     append([]int(nil), group...),
 		Landmarks: lms,
 		CDG:       cdg,
 		CDM:       cdm.edges,
@@ -241,9 +254,11 @@ func BuildAll(g *graph.Graph, groups [][]int, cfg Config) ([]*Surface, error) {
 // BuildAllContext constructs one surface per boundary group with
 // cancellation and observation (see BuildContext).
 func BuildAllContext(ctx context.Context, o obs.Observer, g *graph.Graph, groups [][]int, cfg Config) ([]*Surface, error) {
+	cfg = cfg.withDefaults()
+	var c groupCompactor
 	surfaces := make([]*Surface, 0, len(groups))
 	for gi, group := range groups {
-		s, err := BuildContext(ctx, o, g, group, cfg)
+		s, err := buildGraphGroup(ctx, o, &c, g, group, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("group %d: %w", gi, err)
 		}

@@ -216,14 +216,14 @@ const (
 	// CtrFlips counts step-V edge flips applied.
 	CtrFlips
 	// CtrBFSRuns counts graph traversals started by the surface pipeline
-	// (landmark election, association, SPT builds, and any uncached path
-	// queries).
+	// (landmark election, the association flood, shortest-path trees
+	// started, and any path queries run without trees).
 	CtrBFSRuns
-	// CtrBFSNodesVisited counts the nodes those traversals reached — the
-	// substrate work the SPT cache exists to shrink.
+	// CtrBFSNodesVisited counts the nodes those traversals reached,
+	// including every shortest-path tree's on-demand growth.
 	CtrBFSNodesVisited
-	// CtrSPTCacheHits counts path/distance queries answered from a cached
-	// shortest-path tree instead of a fresh BFS.
+	// CtrSPTCacheHits counts path/distance queries answered from a
+	// landmark's shortest-path tree instead of a fresh BFS.
 	CtrSPTCacheHits
 	// CtrShards counts the spatial shards a sharded detection ran on.
 	CtrShards
