@@ -30,11 +30,13 @@ race:
 # metamorphic/vocabulary suites (every registered detector's parallel
 # candidate loops), the incremental surface engine's differential matrix
 # (cached mesh repair at several worker widths), and the always-on
-# metrics/FTDC capture path (atomic sinks racing a sampler goroutine).
+# metrics/FTDC capture path (atomic sinks racing a sampler goroutine), and
+# the direct flood evaluators' differential suite against the sim kernels
+# (parallel per-member IFF searches at several worker widths).
 # (The blanket `race` target covers these too; this target is the quick
 # iteration loop.)
 race-shard:
-	$(GO) test -race -count=1 -run 'Shard|Incremental|Serve|Detector|Metrics|FTDC|Ring|Sampler|Mesh' ./internal/core ./internal/partition/shard ./internal/graph ./internal/serve ./internal/obs ./internal/obs/ftdc ./internal/mesh
+	$(GO) test -race -count=1 -run 'Shard|Incremental|Serve|Detector|Metrics|FTDC|Ring|Sampler|Mesh|DirectFlood' ./internal/core ./internal/partition/shard ./internal/graph ./internal/serve ./internal/obs ./internal/obs/ftdc ./internal/mesh
 
 # `go test -fuzz` accepts a single package per invocation, so each fuzz
 # target gets its own run.
@@ -48,6 +50,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzFTDCReader -fuzztime=$(FUZZTIME) ./internal/obs/ftdc
 	$(GO) test -run=^$$ -fuzz=FuzzMeshStitch -fuzztime=$(FUZZTIME) ./internal/mesh
 	$(GO) test -run=^$$ -fuzz=FuzzLandmarkAssociation -fuzztime=$(FUZZTIME) ./internal/mesh
+	$(GO) test -run=^$$ -fuzz=FuzzDirectFlood -fuzztime=$(FUZZTIME) ./internal/core
 
 # `make bench` records a machine-readable baseline (schema: internal/bench,
 # documented in EXPERIMENTS.md) named for today's date.

@@ -109,21 +109,24 @@ type Config struct {
 	IFFThreshold int
 	// IFFTTL is T, the filtering flood's hop budget. Zero means 3.
 	IFFTTL int
-	// Async executes the flooding phases (IFF and grouping) on the
-	// asynchronous kernel — per-message random delays seeded by
-	// AsyncSeed — instead of synchronized rounds. Both protocols are
-	// delay-independent, so the detection outcome is identical; the
-	// option exists to demonstrate and test exactly that.
+	// Async executes the flooding phases (IFF and grouping) as message
+	// passing on the asynchronous kernel — per-message random delays
+	// seeded by AsyncSeed. Without Async or Faults the phases are
+	// evaluated directly as graph traversals with the synchronous
+	// kernel's exact message and round accounting (flood.go). Both
+	// protocols are delay-independent, so the detection outcome is
+	// identical; the option exists to demonstrate and test exactly that.
 	Async     bool
 	AsyncSeed int64
 
 	// Faults, when enabled, injects message loss, duplication, delay,
-	// crashes and partitions into the flooding phases. The phases then
-	// run the acknowledged, retransmitting protocol variants; with
-	// per-link loss capped at Faults.MaxDropsPerLink and a
-	// RetransmitBudget at least that cap, the detection outcome is
-	// provably identical to the fault-free run. Each phase derives its
-	// own plan: IFF from Faults.Seed, grouping from Faults.Seed+1.
+	// crashes and partitions into the flooding phases, which then run as
+	// message passing on the sim kernels with the acknowledged,
+	// retransmitting protocol variants. With per-link loss capped at
+	// Faults.MaxDropsPerLink and a RetransmitBudget at least that cap,
+	// the detection outcome is provably identical to the fault-free run.
+	// Each phase derives its own plan: IFF from Faults.Seed, grouping
+	// from Faults.Seed+1.
 	Faults sim.FaultConfig
 	// RetransmitBudget is the maximum number of retransmissions per
 	// unacknowledged packet under faults. Zero means 3; ignored without
@@ -138,11 +141,12 @@ type Config struct {
 	// set is cut into that many spatial shards, each shard detects over
 	// its owned nodes plus a bounded ghost halo, and the per-shard results
 	// are stitched back together. The outcome is bit-identical to the
-	// unsharded pipeline for every shard and worker count. The sharded
-	// engine evaluates the flooding phases by direct bounded traversal
-	// rather than message passing, so Async and Faults are ignored and the
-	// message/fault counters of the Result stay zero. Zero or 1 selects
-	// the ordinary single-shard pipeline. Requires a CapSharded detector.
+	// unsharded pipeline for every shard and worker count. Like the
+	// default unsharded path, the sharded engine evaluates the flooding
+	// phases by direct traversal, but it has no global flood to account
+	// for: Async and Faults are ignored and the message/fault counters of
+	// the Result stay zero. Zero or 1 selects the ordinary single-shard
+	// pipeline. Requires a CapSharded detector.
 	Shards int
 
 	// Detector selects the registered detection algorithm by name; ""
@@ -453,8 +457,10 @@ func paperDetect(ctx context.Context, o obs.Observer, net *netgen.Network, meas 
 // filterAndGroup runs detection stages 3 and 4 — Isolated Fragment
 // Filtering and boundary grouping — on the candidate set in res.UBF,
 // filling Boundary, FragmentSize, GroupLabel, Groups and the message and
-// fault counters. It is shared verbatim between the paper pipeline and
-// the competitor detectors (their candidate phases replace UBF, the
+// fault counters. The default fault-free synchronous case evaluates both
+// floods directly (flood.go); Async and Faults run them on the sim
+// kernels. It is shared verbatim between the paper pipeline and the
+// competitor detectors (their candidate phases replace UBF, the
 // refinement tail is common), which is what keeps the paper path
 // bit-identical and gives every detector the hardened fault/async
 // protocol variants for free. cfg must already carry defaults.
@@ -497,8 +503,10 @@ func filterAndGroup(ctx context.Context, o obs.Observer, net *netgen.Network, cf
 			counts, stats, err = sim.AsyncFloodCount(net.G, res.UBF, cfg.IFFTTL, cfg.AsyncSeed, pr)
 			messages = stats.Messages
 		default:
+			// Fault-free synchronous flooding: evaluated directly, with
+			// the kernel's exact accounting (flood.go).
 			var stats sim.Result
-			counts, stats, err = sim.FloodCountStats(net.G, res.UBF, cfg.IFFTTL, pr)
+			counts, stats, err = floodCount(ctx, pr, net.G, res.UBF, cfg.IFFTTL, cfg.Workers)
 			messages = stats.Messages
 		}
 		if err != nil {
@@ -558,7 +566,7 @@ func filterAndGroup(ctx context.Context, o obs.Observer, net *netgen.Network, cf
 		groupMessages = stats.Messages
 	default:
 		var stats sim.Result
-		label, stats, err = sim.LabelComponentsStats(net.G, res.Boundary, groupPr)
+		label, stats, err = labelComponents(groupPr, net.G, res.Boundary)
 		groupMessages = stats.Messages
 	}
 	if err != nil {

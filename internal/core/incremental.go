@@ -37,9 +37,15 @@ package core
 // on the bound. Enlarging the dirty set is always safe (fact 1).
 //
 // Like the sharded engine, the incremental engine evaluates the flooding
-// phases by direct bounded traversal (IFF) and union-find (grouping), so
-// Async and Faults have nothing to perturb and are ignored, and the
-// message/fault counters of snapshots stay zero.
+// phases by direct bounded traversal (IFF) and union-find (grouping), and
+// keeps no global message accounting: Async and Faults are ignored, and
+// the message/fault counters of snapshots stay zero.
+//
+// Deltas are atomic. Everything that can refuse a delta — validation and
+// the caller's context — is checked before the first mutation, and once
+// the topology has changed the repair runs to completion regardless of
+// cancellation, so the cached verdicts always describe the committed
+// topology (TestIncrementalCancelMidBatch).
 
 import (
 	"context"
@@ -135,10 +141,10 @@ const dirtySlack = 1 + 1e-9
 
 // Incremental holds one network's detection state across deltas. It is not
 // safe for concurrent use; a server serializes Apply/Snapshot per session.
-// After a mid-recompute error (context cancellation), the cached verdicts
-// are stale and the engine must be discarded; per-delta validation errors
-// (ErrNoSuchNode, ErrBadPosition, ErrUnknownDeltaOp) happen before any
-// mutation and leave it fully usable.
+// Every delta is atomic: it either lands in full — topology change and
+// repair — or not at all. Errors (a done context, ErrNoSuchNode,
+// ErrBadPosition, ErrUnknownDeltaOp) are all raised before any mutation and
+// leave the engine fully usable.
 type Incremental struct {
 	cfg       Config  // validated, defaults applied
 	radius    float64 // radio range R
@@ -256,10 +262,16 @@ func (inc *Incremental) Apply(d Delta) (int, error) {
 }
 
 // ApplyContext is Apply with cancellation and observation: the repair runs
-// under a StageIncremental span carrying the dirty-region counters.
+// under a StageIncremental span carrying the dirty-region counters. ctx is
+// checked once, before the delta touches any state; once the topology
+// change is made the repair runs to completion even if ctx is cancelled
+// meanwhile, so a cancelled caller never leaves stale verdicts behind.
 func (inc *Incremental) ApplyContext(ctx context.Context, o obs.Observer, d Delta) (int, error) {
 	span := obs.Start(o, obs.StageIncremental)
 	defer span.End()
+	if err := ctx.Err(); err != nil {
+		return -1, err
+	}
 
 	var changed [2]geom.Vec3
 	nch := 0
@@ -348,35 +360,28 @@ func (inc *Incremental) ApplyContext(ctx context.Context, o obs.Observer, d Delt
 		return -1, fmt.Errorf("%w: %d", ErrUnknownDeltaOp, d.Op)
 	}
 
-	if err := inc.repair(ctx, o, changed[:nch]); err != nil {
-		return -1, err
-	}
+	inc.repair(o, changed[:nch])
 	return id, nil
 }
 
 // repair recomputes the cached detection state around the changed
 // positions: UBF over the scope-hop dirty ball, IFF over the
-// (scope+TTL)-hop dirty ball, grouping globally.
-func (inc *Incremental) repair(ctx context.Context, o obs.Observer, changed []geom.Vec3) error {
+// (scope+TTL)-hop dirty ball, grouping globally. It takes no context: the
+// topology change is already committed, and stopping halfway would leave
+// verdicts that disagree with it.
+func (inc *Incremental) repair(o obs.Observer, changed []geom.Vec3) {
 	ubfBound := float64(inc.scopeHops) * inc.radius * dirtySlack
 	inc.dirtyA = inc.collectDirty(inc.dirtyA[:0], changed, ubfBound, false)
 	ubfDirty := inc.dirtyA
 	obs.Add(o, obs.StageIncremental, obs.CtrDirtyUBF, int64(len(ubfDirty)))
 
-	err := par.For(len(ubfDirty), inc.workers, func(w, k int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	mustFor(len(ubfDirty), inc.workers, func(w, k int) {
 		u := int(ubfDirty[k])
 		r := inc.fitUBF(&inc.scratch[w], u)
 		inc.ubf[u] = r.Boundary
 		inc.balls[u] = r.BallsTested
 		inc.checked[u] = r.NodesChecked
-		return nil
 	})
-	if err != nil {
-		return err
-	}
 
 	if inc.cfg.IFFThreshold < 0 {
 		// IFF disabled: the boundary is the UBF verdict and fragment
@@ -389,17 +394,10 @@ func (inc *Incremental) repair(ctx context.Context, o obs.Observer, changed []ge
 		inc.dirtyB = inc.collectDirty(inc.dirtyB[:0], changed, iffBound, true)
 		iffDirty := inc.dirtyB
 		obs.Add(o, obs.StageIncremental, obs.CtrDirtyIFF, int64(len(iffDirty)))
-		err := par.For(len(iffDirty), inc.workers, func(w, k int) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		mustFor(len(iffDirty), inc.workers, func(w, k int) {
 			u := iffDirty[k]
 			inc.frag[u] = inc.memberCount(&inc.scratch[w], u)
-			return nil
 		})
-		if err != nil {
-			return err
-		}
 		for _, u := range ubfDirty {
 			if !inc.ubf[u] {
 				inc.frag[u] = 0
@@ -415,7 +413,20 @@ func (inc *Incremental) repair(ctx context.Context, o obs.Observer, changed []ge
 	}
 
 	inc.regroup()
-	return nil
+}
+
+// mustFor runs fn over [0, n) on the worker pool for loops that cannot
+// fail. A worker panic — a bug, never a property of the delta — is
+// re-raised rather than reported as a delta error, since the state it
+// leaves behind is no longer a committed-and-repaired one.
+func mustFor(n, workers int, fn func(w, i int)) {
+	err := par.For(n, workers, func(w, i int) error {
+		fn(w, i)
+		return nil
+	})
+	if err != nil {
+		panic(err)
+	}
 }
 
 // fitUBF re-runs node u's Unit Ball Fitting against the current adjacency.

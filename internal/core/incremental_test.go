@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/netgen"
+	"repro/internal/obs"
 )
 
 // tinyNet assembles a small hand-placed network for validation tests.
@@ -177,4 +179,74 @@ func TestDeltaOpStrings(t *testing.T) {
 	if s := DeltaOp(42).String(); s != "delta?" {
 		t.Fatalf("unknown op prints %q", s)
 	}
+}
+
+// cancelObserver cancels a context when the incremental engine reports its
+// k-th UBF dirty set — inside a delta's repair, after its topology change.
+type cancelObserver struct {
+	obs.Mem
+	cancel func()
+	at     int
+	seen   int
+}
+
+func (c *cancelObserver) Count(s obs.Stage, ctr obs.Counter, delta int64) {
+	c.Mem.Count(s, ctr, delta)
+	if s == obs.StageIncremental && ctr == obs.CtrDirtyUBF {
+		if c.seen++; c.seen == c.at {
+			c.cancel()
+		}
+	}
+}
+
+// TestIncrementalCancelMidBatch: a context cancelled while a delta is being
+// repaired must not leave the engine half-updated. The delta in flight
+// lands in full, the next one is refused before it touches anything, and
+// the engine still equals a full recompute and keeps accepting deltas.
+func TestIncrementalCancelMidBatch(t *testing.T) {
+	w := incWorlds(t)[0]
+	cfg := Config{}
+	inc, err := NewIncremental(w.net, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Teleporting boundary nodes far outside the network isolates them, so
+	// their verdicts must flip: a skipped repair cannot go unnoticed.
+	var movers []int
+	for u, b := range inc.Snapshot().Boundary {
+		if b && len(movers) < 3 {
+			movers = append(movers, u)
+		}
+	}
+	_, hi := bboxOf(inc)
+	far := 10 * inc.Radius()
+	batch := []Delta{
+		{Op: DeltaMove, Node: movers[0], Pos: hi.Add(geom.V(far, 0, 0))},
+		{Op: DeltaMove, Node: movers[1], Pos: hi.Add(geom.V(0, far, 0))},
+		{Op: DeltaMove, Node: movers[2], Pos: hi.Add(geom.V(0, 0, far))},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	o := &cancelObserver{cancel: cancel, at: 2}
+	applied := 0
+	for _, d := range batch {
+		if _, err := inc.ApplyContext(ctx, o, d); err != nil {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("delta %d: %v", applied, err)
+			}
+			break
+		}
+		applied++
+	}
+	diffIncremental(t, "after cancelled batch", inc, cfg)
+	if applied != 2 {
+		t.Fatalf("applied %d deltas, want 2 (the one cancelled mid-repair completes, the next is refused)", applied)
+	}
+	if un := o.Unbalanced(); len(un) != 0 {
+		t.Fatalf("unbalanced spans: %v", un)
+	}
+	if _, err := inc.Apply(batch[2]); err != nil {
+		t.Fatal(err)
+	}
+	diffIncremental(t, "delta after the cancelled batch", inc, cfg)
 }

@@ -28,12 +28,15 @@ package core
 //     with it every tie-break, work counter, and floating-point operation
 //     sequence.
 //
-// The flooding phases are evaluated by direct bounded traversal (IFF) and
-// union-find (grouping) instead of message passing: the protocols compute
-// graph quantities — |members within TTL hops through members| and
-// per-component minimum IDs — that the traversals reproduce exactly.
-// Consequently Async and Faults have nothing to perturb and are ignored,
-// and Result.IFFMessages/GroupingMessages/FaultStats stay zero.
+// The flooding phases are evaluated by direct traversal, as on the default
+// unsharded path (flood.go): IFF by the same per-member TTL-bounded BFS
+// kernel (iffFlood) run on each view with the member set as filter, and
+// grouping by a union-find stitch of the shards' boundary edges. The
+// protocols compute graph quantities — |members within TTL hops through
+// members| and per-component minimum IDs — that the traversals reproduce
+// exactly. A sharded run has no single global flood to account for, so
+// Async and Faults are ignored and Result.IFFMessages/GroupingMessages/
+// FaultStats stay zero.
 
 import (
 	"context"
@@ -340,8 +343,6 @@ func detectSharded(ctx context.Context, o obs.Observer, net *netgen.Network, mea
 					mset.Add(l)
 				}
 			}
-			sc := &scratch[w]
-			var src [1]int
 			for _, l32 := range v.owned {
 				if err := ctx.Err(); err != nil {
 					return err
@@ -350,9 +351,7 @@ func detectSharded(ctx context.Context, o obs.Observer, net *netgen.Network, mea
 				if !res.UBF[g] {
 					continue
 				}
-				src[0] = int(l32)
-				v.tab.CSR.BFSHops(sc, src[:], mset, cfg.IFFTTL)
-				counts[g] = len(sc.Reached())
+				counts[g] = iffFlood(v.tab.CSR, &scratch[w], mset, int(l32), cfg.IFFTTL)
 			}
 			return nil
 		})

@@ -1,0 +1,83 @@
+package core
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/netgen"
+	"repro/internal/obs"
+	"repro/internal/shapes"
+)
+
+// TestFig1DetectWorkBound is a work guard that does not depend on wall
+// time: detection on the paper's Fig. 1 network (1800 surface + 2410
+// interior nodes, seed 101) under true coordinates.
+//
+//   - The IFF and grouping message and round counts are protocol facts of
+//     this network and must not move at all.
+//   - UBF's balls tested and nodes checked are capped at their current
+//     values; a PR that lowers them lowers the caps.
+//   - Detection allocates about 1.3 MB here. The cap of 1.6 MB leaves room
+//     for worker-count and toolchain jitter but not for a return to
+//     per-round message buffers, which allocated 587 MB on this network.
+func TestFig1DetectWorkBound(t *testing.T) {
+	shape, err := shapes.NewBoxWithHoles(geom.V(0, 0, 0), geom.V(13, 13, 13),
+		[]geom.Sphere{{Center: geom.V(6.5, 6.5, 6.5), Radius: 2.3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := netgen.Generate(netgen.Config{Shape: shape, SurfaceNodes: 1800, InteriorNodes: 2410, TargetAvgDegree: 18.8, Seed: 101})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Workers: 2}
+
+	m := &obs.Mem{}
+	res, err := DetectContext(context.Background(), m, net, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := []struct {
+		name      string
+		got, want int64
+	}{
+		{"IFF messages", int64(res.IFFMessages), 1032898},
+		{"IFF msgs_delivered", m.Total(obs.StageIFF, obs.CtrMsgsDelivered), 1032898},
+		{"IFF rounds", m.Total(obs.StageIFF, obs.CtrFloodRounds), 3},
+		{"grouping messages", int64(res.GroupingMessages), 145737},
+		{"grouping msgs_delivered", m.Total(obs.StageGrouping, obs.CtrMsgsDelivered), 145737},
+		{"grouping rounds", m.Total(obs.StageGrouping, obs.CtrFloodRounds), 23},
+	}
+	for _, c := range exact {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want exactly %d", c.name, c.got, c.want)
+		}
+	}
+	capped := []struct {
+		name     string
+		got, max int64
+	}{
+		{"UBF balls_tested", m.Total(obs.StageUBF, obs.CtrBallsTested), 760221},
+		{"UBF nodes_checked", m.Total(obs.StageUBF, obs.CtrNodesChecked), 2913461},
+	}
+	for _, c := range capped {
+		if c.got > c.max {
+			t.Errorf("%s = %d, want <= %d", c.name, c.got, c.max)
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Detect(net, nil, cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const maxBytes = 1_600_000
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > maxBytes {
+		t.Errorf("detection allocated %d bytes, want <= %d", alloc, maxBytes)
+	} else {
+		t.Logf("detection allocated %d bytes (cap %d)", alloc, maxBytes)
+	}
+}

@@ -157,6 +157,9 @@ func (e incEngine) Radius() float64        { return e.inc.Radius() }
 func (e incEngine) Snapshot() *core.Result { return e.inc.Snapshot() }
 func (e incEngine) Apply(ctx context.Context, o obs.Observer, d core.Delta) (int, error) {
 	id, err := e.inc.ApplyContext(ctx, o, d)
+	// ApplyContext is atomic — every error is raised before the topology
+	// changes — so a nil error is exactly a committed topology change, and
+	// each one reaches the mesh cache.
 	if err == nil {
 		node, peers := e.inc.LastTopology()
 		e.mesh.Invalidate(o, node, peers)
@@ -452,9 +455,12 @@ type deltasRequest struct {
 	Deltas []wireDelta `json:"deltas"`
 }
 
-// deltasResponse reports a batch's outcome. Deltas apply in order;
-// Applied counts the prefix that succeeded, and Joined lists the stable
-// IDs assigned to join deltas in request order.
+// deltasResponse reports a batch's outcome. Deltas apply in order, each
+// one whole or not at all; Applied counts the prefix that succeeded, and
+// Joined lists the stable IDs assigned to join deltas in request order.
+// A batch that stops early answers with an errorResponse naming the
+// applied prefix: 400 when a delta is refused, 503 when the client went
+// away (checked between deltas only).
 type deltasResponse struct {
 	Applied int     `json:"applied"`
 	Joined  []int   `json:"joined,omitempty"`
@@ -831,17 +837,27 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 
 	// Per-session metrics see the repair work and the delta counts too.
 	o := obs.Tee(s.obs, sess.metrics)
+	// A client that goes away stops the batch between deltas, never inside
+	// one: each delta runs to completion under a context the disconnect
+	// cannot cancel, so the applied prefix is always whole.
+	ctx := r.Context()
+	applyCtx := context.WithoutCancel(ctx)
 	sess.mu.Lock()
 	resp := deltasResponse{}
 	for i, d := range deltas {
-		id, err := sess.eng.Apply(r.Context(), o, d)
+		code, err := http.StatusServiceUnavailable, ctx.Err()
+		var id int
+		if err == nil {
+			code = http.StatusBadRequest
+			id, err = sess.eng.Apply(applyCtx, o, d)
+		}
 		if err != nil {
-			// Per-delta validation happens before mutation, so the prefix
-			// [0, i) is applied and the session stays consistent.
+			// Apply validates before it mutates, so the prefix [0, i) is
+			// applied and the session stays consistent.
 			sess.deltas += int64(i)
 			sess.mu.Unlock()
 			obs.Add(o, obs.StageServe, obs.CtrDeltas, int64(i))
-			writeJSON(w, http.StatusBadRequest, errorResponse{
+			writeJSON(w, code, errorResponse{
 				Error:   fmt.Sprintf("delta %d (%s): %v", i, d.Op, err),
 				Applied: i,
 			})

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -682,5 +683,79 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	res.Body.Close()
 	if res.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /metrics = %d, want 404 (no legacy alias)", res.StatusCode)
+	}
+}
+
+// cancelObserver cancels a request context when the incremental engine
+// reports its k-th UBF dirty set — inside a delta's repair, after the
+// delta's topology change.
+type cancelObserver struct {
+	obs.Mem
+	cancel func()
+	at     int
+	seen   int
+}
+
+func (c *cancelObserver) Count(s obs.Stage, ctr obs.Counter, delta int64) {
+	c.Mem.Count(s, ctr, delta)
+	if s == obs.StageIncremental && ctr == obs.CtrDirtyUBF {
+		if c.seen++; c.seen == c.at {
+			c.cancel()
+		}
+	}
+}
+
+// TestServeCancelMidBatch: a client that disconnects while a delta batch
+// is being applied stops the batch between deltas. The delta in flight
+// lands in full, the response reports exactly the applied prefix, and the
+// session's verdicts and mesh still equal a full recompute.
+func TestServeCancelMidBatch(t *testing.T) {
+	net := testNetwork(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	co := &cancelObserver{cancel: cancel, at: 2}
+	srv := New(Options{Obs: co})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	var sum Summary
+	doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", envelopeBody(t, net), http.StatusCreated, &sum)
+	pos := net.Positions()
+	active := make([]bool, len(pos))
+	for i := range active {
+		active[i] = true
+	}
+	cfg := core.Config{}
+	diffMeshServed(t, ts.URL, sum.Session, pos, active, net.Radius, cfg) // warm the mesh cache
+
+	// Teleport three boundary nodes far outside the ball: each isolates its
+	// node, so a repair cut short leaves a verdict the recompute disagrees
+	// with. The observer cancels the request inside the second repair.
+	var det Detail
+	doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+sum.Session, nil, http.StatusOK, &det)
+	far := []geom.Vec3{geom.V(40, 0, 0), geom.V(0, 40, 0), geom.V(0, 0, 40)}
+	var wire []map[string]any
+	for k, p := range far {
+		wire = append(wire, map[string]any{"op": "move", "node": det.Boundary[k], "pos": map[string]float64{"x": p.X, "y": p.Y, "z": p.Z}})
+	}
+	body, _ := json.Marshal(map[string]any{"deltas": wire})
+	req := httptest.NewRequest(http.MethodPost, "/v1/sessions/"+sum.Session+"/deltas", bytes.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+
+	var fail errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &fail); err != nil {
+		t.Fatalf("decode %q: %v", rec.Body.String(), err)
+	}
+	for k := 0; k < fail.Applied; k++ {
+		pos[det.Boundary[k]] = far[k]
+	}
+	diffServed(t, ts.URL, sum.Session, pos, active, net.Radius, cfg)
+	diffMeshServed(t, ts.URL, sum.Session, pos, active, net.Radius, cfg)
+	if rec.Code != http.StatusServiceUnavailable || fail.Applied != 2 || !strings.Contains(fail.Error, "delta 2") {
+		t.Fatalf("cancelled batch: status %d, %+v; want 503 after the 2 deltas begun before the cancel", rec.Code, fail)
+	}
+	doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+sum.Session, nil, http.StatusOK, &det)
+	if det.DeltasApplied != 2 {
+		t.Fatalf("deltas_applied = %d, want 2", det.DeltasApplied)
 	}
 }
