@@ -29,14 +29,16 @@ race:
 # boundaryd's concurrent session registry, the detector zoo's
 # metamorphic/vocabulary suites (every registered detector's parallel
 # candidate loops), the incremental surface engine's differential matrix
-# (cached mesh repair at several worker widths), and the always-on
+# (cached mesh repair with and without SPT reuse), and the always-on
 # metrics/FTDC capture path (atomic sinks racing a sampler goroutine), and
 # the direct flood evaluators' differential suite against the sim kernels
-# (parallel per-member IFF searches at several worker widths).
+# (parallel per-member IFF searches at several worker widths), and the
+# steady-state allocation guard over the per-node kernels the batch,
+# sharded and incremental paths share.
 # (The blanket `race` target covers these too; this target is the quick
 # iteration loop.)
 race-shard:
-	$(GO) test -race -count=1 -run 'Shard|Incremental|Serve|Detector|Metrics|FTDC|Ring|Sampler|Mesh|DirectFlood' ./internal/core ./internal/partition/shard ./internal/graph ./internal/serve ./internal/obs ./internal/obs/ftdc ./internal/mesh
+	$(GO) test -race -count=1 -run 'Shard|Incremental|Serve|Detector|Metrics|FTDC|Ring|Sampler|Mesh|DirectFlood|IFFFlood' ./internal/core ./internal/partition/shard ./internal/graph ./internal/serve ./internal/obs ./internal/obs/ftdc ./internal/mesh
 
 # `go test -fuzz` accepts a single package per invocation, so each fuzz
 # target gets its own run.
@@ -84,15 +86,16 @@ trace-stat:
 # ephemeral port, POSTs a generated network over real HTTP, streams
 # scripted delta batches, and diffs every served boundary-group result
 # against a from-scratch detection of the same active node set — then
-# re-exercises the deprecated unprefixed routes and a non-incremental
-# detector session. Nonzero exit on any divergence, HTTP failure, or
-# trace schema violation.
+# re-exercises the deprecated unprefixed routes and two non-incremental
+# detector sessions, one of which reads its cached mesh across a delta
+# batch. Nonzero exit on any divergence, HTTP failure, or trace schema
+# violation.
 serve-smoke:
 	$(GO) run ./cmd/boundaryd -smoke
 
 # Incremental-mesh gate: the engine's differential matrix (cached repair
-# vs from-scratch mesh.BuildAll, bit-identical after every scripted delta
-# at several worker widths, with and without SPT reuse) plus the served
+# vs from-scratch mesh.BuildAll, bit-identical after every scripted delta,
+# with and without SPT reuse) plus the served
 # mesh endpoint's own diffs, uncached. The boundaryd -smoke run above
 # additionally probes GET /v1/sessions/{id}/mesh mid-delta-stream over
 # real HTTP.

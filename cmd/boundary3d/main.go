@@ -158,7 +158,7 @@ func run(w io.Writer, opts options) error {
 	fmt.Fprintf(w, "boundary: found=%d correct=%d mistaken=%d missing=%d groups=%d\n",
 		sum.Found, sum.Correct, sum.Mistaken, sum.Missing, sum.Groups)
 
-	surfaces, err := mesh.BuildAllContext(ctx, sess.Obs, net.G, det.Groups, mesh.Config{K: opts.K, Workers: opts.Workers})
+	surfaces, err := mesh.BuildAllContext(ctx, sess.Obs, net.G, det.Groups, mesh.Config{K: opts.K})
 	if err != nil {
 		return err
 	}

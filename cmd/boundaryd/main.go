@@ -24,9 +24,10 @@
 // from GET /v1/sessions/{id}/mesh — against a from-scratch recompute of
 // the same active node set, landmark positions compared exactly. It also
 // checks that a topology-only detector session answers the mesh route
-// with 501. Any divergence, HTTP failure, or (with -trace) trace schema
-// violation exits nonzero — `make serve-smoke` and `make mesh-smoke` wire
-// this into CI.
+// with 501, and that a non-incremental detector's session serves meshes
+// that match a full rebuild across a delta batch. Any divergence, HTTP
+// failure, or (with -trace) trace schema violation exits nonzero —
+// `make serve-smoke` and `make mesh-smoke` wire this into CI.
 package main
 
 import (
@@ -459,6 +460,48 @@ func smokeCompat(w io.Writer, base string, envBody []byte, network *netgen.Netwo
 		return fmt.Errorf("delete %s session: status %s", detector, del.Status)
 	}
 	fmt.Fprintf(w, "smoke: legacy aliases deprecated, %s session OK (mesh 501)\n", detector)
+	return smokeFallbackMesh(w, base, envBody, network, opts)
+}
+
+// smokeFallbackMesh drives a session on sv-enclosure, a measurement-capable
+// detector without incremental repair: its mesh is read before and after a
+// delta batch, so the cached surfaces and their per-delta invalidation run
+// over real HTTP for the full-recompute repair too.
+func smokeFallbackMesh(w io.Writer, base string, envBody []byte, network *netgen.Network, opts options) error {
+	const detector = "sv-enclosure"
+	var created serve.Summary
+	if err := postJSON(base+"/v1/sessions?detector="+detector, envBody, http.StatusCreated, &created); err != nil {
+		return fmt.Errorf("%s create: %w", detector, err)
+	}
+	cfg := opts.Common.DetectConfig()
+	cfg.Detector = detector
+	pos := network.Positions()
+	active := make([]bool, len(pos))
+	for i := range active {
+		active[i] = true
+	}
+	if err := diffMeshAgainstFull(base, created.Session, pos, active, network.Radius, cfg); err != nil {
+		return fmt.Errorf("%s mesh: %w", detector, err)
+	}
+	pos[1] = pos[1].Add(geom.V(0, network.Radius/3, 0))
+	active[2] = false
+	body, err := json.Marshal(map[string]any{"deltas": []map[string]any{
+		{"op": "move", "node": 1, "pos": vec(pos[1])},
+		{"op": "leave", "node": 2},
+	}})
+	if err != nil {
+		return err
+	}
+	if err := postJSON(base+"/v1/sessions/"+created.Session+"/deltas", body, http.StatusOK, nil); err != nil {
+		return fmt.Errorf("%s delta: %w", detector, err)
+	}
+	if err := diffAgainstFull(base, created.Session, pos, active, network.Radius, cfg); err != nil {
+		return fmt.Errorf("%s session: %w", detector, err)
+	}
+	if err := diffMeshAgainstFull(base, created.Session, pos, active, network.Radius, cfg); err != nil {
+		return fmt.Errorf("%s mesh after deltas: %w", detector, err)
+	}
+	fmt.Fprintf(w, "smoke: %s session mesh matched a full rebuild before and after a delta batch\n", detector)
 	return nil
 }
 

@@ -169,7 +169,7 @@ func run(w io.Writer, opts options) error {
 	}
 
 	levels := eval.PaperErrorLevels()
-	meshCfg := mesh.Config{K: opts.K, Workers: opts.Workers}
+	meshCfg := mesh.Config{K: opts.K}
 
 	// Fig. 1(g)–(i): the error sweep on the Fig. 1 network.
 	if want("fig1g", "fig1h", "fig1i") {

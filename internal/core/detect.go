@@ -8,6 +8,7 @@ import (
 	"runtime"
 
 	"repro/internal/geom"
+	"repro/internal/graph"
 	"repro/internal/mds"
 	"repro/internal/netgen"
 	"repro/internal/obs"
@@ -695,30 +696,11 @@ func (as *assembleScratch) visited(n int) []int32 {
 // Returned slices may alias as and are only valid until the next call with
 // the same scratch.
 func assembleKnowledge(tab *NodeTable, cfg Config, frames []frame, i int, as *assembleScratch) (coords []geom.Vec3, candidates []int, spreads []float64) {
-	oneHop := tab.Neighbors(i)
-	candidates = as.candidates[:0]
-	for k := range oneHop {
-		candidates = append(candidates, k+1) // coords layout: i, then its one-hop neighbors
-	}
-	as.candidates = candidates
-
 	if cfg.Coords == CoordsTrue {
-		members := append(as.members[:0], i)
-		for _, v := range oneHop {
-			members = append(members, int(v))
-		}
-		if cfg.Scope == ScopeTwoHop {
-			members = extendTwoHop(tab, i, members, as)
-		}
-		as.members = members
-		coords = as.coords[:0]
-		for _, m := range members {
-			coords = append(coords, tab.Pos[m])
-		}
-		as.coords = coords
+		coords, candidates = trueKnowledge(tab, tab.Pos, cfg.Scope, i, as)
 		return coords, candidates, nil
 	}
-
+	candidates = as.oneHopCandidates(len(tab.Neighbors(i)))
 	own := frames[i]
 	if cfg.Scope == ScopeOneHop {
 		spreads = as.spreads[:0]
@@ -732,16 +714,52 @@ func assembleKnowledge(tab *NodeTable, cfg Config, frames []frame, i int, as *as
 	return coords, candidates, spreads
 }
 
+// trueKnowledge is assembleKnowledge's CoordsTrue view over any adjacency
+// rows: i, its one-hop neighbors in row order, then (ScopeTwoHop) the
+// two-hop nodes in first-appearance order, at their positions in pos. The
+// batch and sharded pipelines call it on a NodeTable and the incremental
+// engine on its live stable-ID adjacency, so a refit runs exactly the
+// floating-point sequence of a from-scratch run.
+func trueKnowledge(rows graph.Rows, pos []geom.Vec3, scope Scope, i int, as *assembleScratch) (coords []geom.Vec3, candidates []int) {
+	oneHop := rows.Neighbors(i)
+	candidates = as.oneHopCandidates(len(oneHop))
+	members := append(as.members[:0], i)
+	for _, v := range oneHop {
+		members = append(members, int(v))
+	}
+	if scope == ScopeTwoHop {
+		members = extendTwoHop(rows, i, members, as)
+	}
+	as.members = members
+	coords = as.coords[:0]
+	for _, m := range members {
+		coords = append(coords, pos[m])
+	}
+	as.coords = coords
+	return coords, candidates
+}
+
+// oneHopCandidates returns the UBF candidate indices 1..deg: every view
+// lays out the node first, then its one-hop neighbors.
+func (as *assembleScratch) oneHopCandidates(deg int) []int {
+	candidates := as.candidates[:0]
+	for k := 1; k <= deg; k++ {
+		candidates = append(candidates, k)
+	}
+	as.candidates = candidates
+	return candidates
+}
+
 // extendTwoHop appends the two-hop neighbors of i to members (which already
 // holds i and its one-hop neighbors), preserving order and uniqueness.
-func extendTwoHop(tab *NodeTable, i int, members []int, as *assembleScratch) []int {
-	stamp := as.visited(tab.Len())
+func extendTwoHop(rows graph.Rows, i int, members []int, as *assembleScratch) []int {
+	stamp := as.visited(rows.Len())
 	e := as.epoch
 	for _, m := range members {
 		stamp[m] = e
 	}
-	for _, j := range tab.Neighbors(i) {
-		for _, u := range tab.Neighbors(int(j)) {
+	for _, j := range rows.Neighbors(i) {
+		for _, u := range rows.Neighbors(int(j)) {
 			if stamp[u] != e {
 				stamp[u] = e
 				members = append(members, int(u))

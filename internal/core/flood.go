@@ -88,18 +88,19 @@ func newMemberGraph(g *graph.Graph, member []bool) (*memberGraph, error) {
 }
 
 // iffFlood runs member src's IFF flood as a breadth-first search out to ttl
-// hops through the nodes allowed admits (nil when c is already the member
-// subgraph) and returns src's fragment size: the flood delivers to src
-// exactly the members within ttl member-hops, self included, and the search
-// reaches exactly those. sc.Reached() then lists them in nondecreasing
-// depth for the caller's accounting. A negative ttl floods nothing, as in
-// the protocol.
-func iffFlood(c *graph.CSR, sc *graph.Scratch, allowed *graph.NodeSet, src, ttl int) int {
+// hops through the nodes allowed admits (nil when rows is already the
+// member subgraph) and returns src's fragment size: the flood delivers to
+// src exactly the members within ttl member-hops, self included, and the
+// search reaches exactly those. sc.Reached() then lists them in
+// nondecreasing depth for the caller's accounting. A negative ttl floods
+// nothing, as in the protocol. It is the one IFF fragment count of the
+// batch, sharded and incremental engines.
+func iffFlood(rows graph.Rows, sc *graph.Scratch, allowed *graph.NodeSet, src, ttl int) int {
 	if ttl < 0 {
 		ttl = 0
 	}
 	source := [1]int{src}
-	c.BFSHops(sc, source[:], allowed, ttl)
+	graph.BFSHops(rows, sc, source[:], allowed, ttl)
 	return len(sc.Reached())
 }
 

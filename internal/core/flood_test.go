@@ -171,10 +171,12 @@ func FuzzDirectFlood(f *testing.F) {
 	})
 }
 
-// TestIFFFloodSteadyStateAllocs: the per-member IFF kernel both detection
-// paths share allocates nothing once its scratch is warm, over a member
-// filter (the sharded path) and over a compacted member subgraph (the
-// default path).
+// TestIFFFloodSteadyStateAllocs: the per-node kernels the detection paths
+// share allocate nothing once their scratch is warm. IFF runs over a
+// member filter (the sharded path), over a compacted member subgraph (the
+// default path) and over the incremental engine's live rows and member set;
+// the incremental refit assembles a CoordsTrue view off those rows and
+// fits it.
 func TestIFFFloodSteadyStateAllocs(t *testing.T) {
 	w := metamorphicWorlds(t)[0]
 	res, err := Detect(w.net, nil, Config{})
@@ -187,19 +189,30 @@ func TestIFFFloodSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	inc, err := NewIncremental(w.net, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sc graph.Scratch
+	var as assembleScratch
+	var ubf UBFScratch
 	pass := func() {
 		for u, b := range res.UBF {
 			if b {
 				iffFlood(tab.CSR, &sc, members, u, 3)
+				iffFlood(inc, &sc, &inc.members, u, 3)
 			}
 		}
 		for l := range mg.glob {
 			iffFlood(mg.csr, &sc, nil, l, 3)
 		}
+		for u := range inc.Len() {
+			coords, candidates := trueKnowledge(inc, inc.pos, inc.cfg.Scope, u, &as)
+			ubf.Fit(coords, 0, candidates, inc.ballR, uniformTol(inc.tol), -1)
+		}
 	}
 	pass()
 	if allocs := testing.AllocsPerRun(10, pass); allocs != 0 {
-		t.Errorf("steady-state IFF kernel allocates %.1f per pass, want 0", allocs)
+		t.Errorf("steady-state shared kernels allocate %.1f per pass, want 0", allocs)
 	}
 }

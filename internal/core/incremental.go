@@ -4,7 +4,16 @@ package core
 // join/leave/move/crash deltas (the paper's own motivating dynamic events,
 // Sec. I) and repairs the detection result by recomputing only the dirty
 // region around each change, instead of re-running the pipeline from
-// scratch.
+// scratch. It is the one session engine for every registered detector:
+// detectors with CapIncremental get the dirty-region repair below, and the
+// rest run with dirty = all — each delta re-runs the detector over the
+// active nodes and maps the Result back to stable IDs (fact 3).
+//
+// The dirty-region repair calls the batch pipeline's own per-node kernels:
+// a UBF refit assembles its view with trueKnowledge, the CoordsTrue
+// assembly of assembleKnowledge, and a fragment count is iffFlood over the
+// live adjacency restricted to a member set kept in step with the UBF
+// verdicts.
 //
 // Bit-identity with a full recompute over the active nodes rests on the
 // same locality facts the sharded engine documents in shard.go, applied in
@@ -36,10 +45,10 @@ package core
 // rounding of the distance comparison for configurations sitting exactly
 // on the bound. Enlarging the dirty set is always safe (fact 1).
 //
-// Like the sharded engine, the incremental engine evaluates the flooding
+// Like the sharded engine, the dirty-region repair evaluates the flooding
 // phases by direct bounded traversal (IFF) and union-find (grouping), and
-// keeps no global message accounting: Async and Faults are ignored, and
-// the message/fault counters of snapshots stay zero.
+// keeps no global message accounting: Async and Faults are ignored. On
+// either repair the message/fault counters of snapshots stay zero.
 //
 // Deltas are atomic. Everything that can refuse a delta — validation and
 // the caller's context — is checked before the first mutation, and once
@@ -55,6 +64,7 @@ import (
 	"sort"
 
 	"repro/internal/geom"
+	"repro/internal/graph"
 	"repro/internal/netgen"
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -168,6 +178,9 @@ type Incremental struct {
 	groupLabel []int
 	groups     [][]int
 
+	members  graph.NodeSet // the UBF members, as IFF's flood filter
+	dirtyAll bool          // detector lacks CapIncremental: recompute per delta
+
 	workers int
 	scratch []incScratch
 	dirtyA  []int32 // reusable UBF dirty list
@@ -185,15 +198,15 @@ type Incremental struct {
 
 // incScratch is one worker's reusable recomputation state.
 type incScratch struct {
-	asm   assembleScratch
-	ubf   UBFScratch
-	queue []int32
-	bfs   []int32 // BFS visited stamps
-	bfsE  int32
+	asm assembleScratch
+	ubf UBFScratch
+	bfs graph.Scratch
 }
 
 // NewIncremental seeds an engine from a network: one full DetectContext
-// run (honoring cfg.Shards) provides the initial caches.
+// run (honoring cfg.Shards) provides the initial caches. Every registered
+// detector is accepted; whether deltas repair a dirty region or recompute
+// from scratch follows from the detector's CapIncremental bit.
 func NewIncremental(net *netgen.Network, cfg Config) (*Incremental, error) {
 	return NewIncrementalContext(context.Background(), nil, net, cfg)
 }
@@ -208,13 +221,11 @@ func NewIncrementalContext(ctx context.Context, o obs.Observer, net *netgen.Netw
 	if full.Coords != CoordsTrue {
 		return nil, ErrIncrementalCoords
 	}
-	if det, ok := LookupDetector(cfg.Detector); ok && !det.Caps().Has(CapIncremental) {
-		return nil, fmt.Errorf("core: detector %q does not support incremental repair", det.Name())
-	}
 	res, err := DetectContext(ctx, o, net, nil, cfg)
 	if err != nil {
 		return nil, err
 	}
+	det, _ := LookupDetector(cfg.Detector) // DetectContext validated the name
 	n := net.Len()
 	inc := &Incremental{
 		cfg:       full,
@@ -222,6 +233,7 @@ func NewIncrementalContext(ctx context.Context, o obs.Observer, net *netgen.Netw
 		ballR:     full.BallRadiusFactor * (1 + full.Epsilon) * net.Radius,
 		scopeHops: 1,
 		workers:   full.Workers,
+		dirtyAll:  !det.Caps().Has(CapIncremental),
 	}
 	inc.tol = full.InteriorTolerance * inc.ballR
 	if full.Scope == ScopeTwoHop {
@@ -243,13 +255,7 @@ func NewIncrementalContext(ctx context.Context, o obs.Observer, net *netgen.Netw
 	for i, p := range inc.pos {
 		inc.grid.insert(int32(i), p)
 	}
-	inc.ubf = append([]bool(nil), res.UBF...)
-	inc.boundary = append([]bool(nil), res.Boundary...)
-	inc.frag = append([]int(nil), res.FragmentSize...)
-	inc.balls = append([]int(nil), res.BallsTested...)
-	inc.checked = append([]int(nil), res.NodesChecked...)
-	inc.groupLabel = append([]int(nil), res.GroupLabel...)
-	inc.groups = res.Groups
+	inc.adopt(res, inc.ActiveIDs())
 	inc.scratch = make([]incScratch, inc.workers)
 	inc.lastNode = -1
 	return inc, nil
@@ -290,6 +296,7 @@ func (inc *Incremental) ApplyContext(ctx context.Context, o obs.Observer, d Delt
 		inc.frag = append(inc.frag, 0)
 		inc.balls = append(inc.balls, 0)
 		inc.checked = append(inc.checked, 0)
+		inc.members.Grow(len(inc.pos))
 		inc.grid.insert(int32(id), d.Pos)
 		nbrs := inc.neighborsOf(d.Pos, int32(id))
 		inc.adj[id] = nbrs
@@ -314,6 +321,7 @@ func (inc *Incremental) ApplyContext(ctx context.Context, o obs.Observer, d Delt
 		inc.active[id] = false
 		inc.grid.remove(int32(id), old)
 		inc.ubf[id] = false
+		inc.members.Remove(id)
 		inc.boundary[id] = false
 		inc.frag[id] = 0
 		inc.balls[id] = 0
@@ -370,6 +378,10 @@ func (inc *Incremental) ApplyContext(ctx context.Context, o obs.Observer, d Delt
 // topology change is already committed, and stopping halfway would leave
 // verdicts that disagree with it.
 func (inc *Incremental) repair(o obs.Observer, changed []geom.Vec3) {
+	if inc.dirtyAll {
+		inc.recompute(o)
+		return
+	}
 	ubfBound := float64(inc.scopeHops) * inc.radius * dirtySlack
 	inc.dirtyA = inc.collectDirty(inc.dirtyA[:0], changed, ubfBound, false)
 	ubfDirty := inc.dirtyA
@@ -377,11 +389,23 @@ func (inc *Incremental) repair(o obs.Observer, changed []geom.Vec3) {
 
 	mustFor(len(ubfDirty), inc.workers, func(w, k int) {
 		u := int(ubfDirty[k])
-		r := inc.fitUBF(&inc.scratch[w], u)
+		sc := &inc.scratch[w]
+		coords, candidates := trueKnowledge(inc, inc.pos, inc.cfg.Scope, u, &sc.asm)
+		r := sc.ubf.Fit(coords, 0, candidates, inc.ballR, uniformTol(inc.tol), -1)
 		inc.ubf[u] = r.Boundary
 		inc.balls[u] = r.BallsTested
 		inc.checked[u] = r.NodesChecked
 	})
+	var balls int64
+	for _, u := range ubfDirty {
+		if inc.ubf[u] {
+			inc.members.Add(int(u))
+		} else {
+			inc.members.Remove(int(u))
+		}
+		balls += int64(inc.balls[u])
+	}
+	obs.Add(o, obs.StageIncremental, obs.CtrBallsTested, balls)
 
 	if inc.cfg.IFFThreshold < 0 {
 		// IFF disabled: the boundary is the UBF verdict and fragment
@@ -395,8 +419,8 @@ func (inc *Incremental) repair(o obs.Observer, changed []geom.Vec3) {
 		iffDirty := inc.dirtyB
 		obs.Add(o, obs.StageIncremental, obs.CtrDirtyIFF, int64(len(iffDirty)))
 		mustFor(len(iffDirty), inc.workers, func(w, k int) {
-			u := iffDirty[k]
-			inc.frag[u] = inc.memberCount(&inc.scratch[w], u)
+			u := int(iffDirty[k])
+			inc.frag[u] = iffFlood(inc, &inc.scratch[w].bfs, &inc.members, u, inc.cfg.IFFTTL)
 		})
 		for _, u := range ubfDirty {
 			if !inc.ubf[u] {
@@ -429,85 +453,65 @@ func mustFor(n, workers int, fn func(w, i int)) {
 	}
 }
 
-// fitUBF re-runs node u's Unit Ball Fitting against the current adjacency.
-// The knowledge assembly mirrors assembleKnowledge's CoordsTrue branch in
-// detect.go line for line (members = u, one-hop ascending, two-hop in
-// first-appearance order; uniform tolerance; no borderline cap) — the
-// differential suite enforces that the two stay in lockstep.
-func (inc *Incremental) fitUBF(sc *incScratch, u int) UBFNodeResult {
-	as := &sc.asm
-	oneHop := inc.adj[u]
-	candidates := as.candidates[:0]
-	for k := range oneHop {
-		candidates = append(candidates, k+1)
-	}
-	as.candidates = candidates
-	members := append(as.members[:0], u)
-	for _, v := range oneHop {
-		members = append(members, int(v))
-	}
-	if inc.cfg.Scope == ScopeTwoHop {
-		stamp := as.visited(len(inc.pos))
-		e := as.epoch
-		for _, m := range members {
-			stamp[m] = e
+// recompute is the repair for detectors without CapIncremental: every
+// active node is dirty, so the detector re-runs over the compacted active
+// network. Config was validated when the engine was seeded and the repair
+// takes no context, so a detection error is a bug and is re-raised, like a
+// worker panic in mustFor. An empty active set yields an empty result
+// without calling the detector.
+func (inc *Incremental) recompute(o obs.Observer) {
+	ids := inc.ActiveIDs()
+	res := &Result{}
+	if len(ids) > 0 {
+		net, err := netgen.Assemble(inc.ActiveNodes(), inc.radius)
+		if err == nil {
+			res, err = DetectContext(context.Background(), o, net, nil, inc.cfg)
 		}
-		for _, j := range oneHop {
-			for _, w := range inc.adj[j] {
-				if stamp[w] != e {
-					stamp[w] = e
-					members = append(members, int(w))
-				}
-			}
+		if err != nil {
+			panic(fmt.Errorf("core: full recompute: %w", err))
 		}
 	}
-	as.members = members
-	coords := as.coords[:0]
-	for _, m := range members {
-		coords = append(coords, inc.pos[m])
-	}
-	as.coords = coords
-	return sc.ubf.Fit(coords, 0, candidates, inc.ballR, uniformTol(inc.tol), -1)
+	inc.adopt(res, ids)
+	obs.Add(o, obs.StageIncremental, obs.CtrDirtyUBF, int64(len(ids)))
+	obs.Add(o, obs.StageIncremental, obs.CtrDirtyIFF, int64(inc.members.Count()))
 }
 
-// memberCount is node u's IFF fragment size: the number of members (u
-// included) within IFFTTL hops of u through member nodes only — the set of
-// origins the flooding protocol delivers to u.
-func (inc *Incremental) memberCount(sc *incScratch, src int32) int {
+// adopt installs a detection result computed over the active nodes, where
+// compact node k is stable ID ids[k]. The renaming is monotone, so
+// ascending group members and min-ID group labels map straight through;
+// departed IDs hold zero state and no group.
+func (inc *Incremental) adopt(res *Result, ids []int) {
 	n := len(inc.pos)
-	if len(sc.bfs) < n {
-		sc.bfs = make([]int32, n)
-		sc.bfsE = 0
+	inc.ubf = scatter(make([]bool, n), res.UBF, ids)
+	inc.boundary = scatter(make([]bool, n), res.Boundary, ids)
+	inc.frag = scatter(make([]int, n), res.FragmentSize, ids)
+	inc.balls = scatter(make([]int, n), res.BallsTested, ids)
+	inc.checked = scatter(make([]int, n), res.NodesChecked, ids)
+	inc.groupLabel = make([]int, n)
+	for i := range inc.groupLabel {
+		inc.groupLabel[i] = sim.NoGroup
 	}
-	sc.bfsE++
-	if sc.bfsE == 0 {
-		for i := range sc.bfs {
-			sc.bfs[i] = 0
-		}
-		sc.bfsE = 1
-	}
-	stamp, e := sc.bfs, sc.bfsE
-	queue := append(sc.queue[:0], src)
-	stamp[src] = e
-	count := 1
-	head := 0
-	for depth := 0; depth < inc.cfg.IFFTTL; depth++ {
-		tail := len(queue)
-		if head == tail {
-			break
-		}
-		for ; head < tail; head++ {
-			for _, v := range inc.adj[queue[head]] {
-				if inc.ubf[v] && stamp[v] != e {
-					stamp[v] = e
-					queue = append(queue, v)
-					count++
-				}
-			}
+	for k, label := range res.GroupLabel {
+		if label != sim.NoGroup {
+			inc.groupLabel[ids[k]] = ids[label]
 		}
 	}
-	sc.queue = queue
-	return count
+	inc.groups = make([][]int, len(res.Groups))
+	for g, group := range res.Groups {
+		inc.groups[g] = make([]int, len(group))
+		for k, m := range group {
+			inc.groups[g][k] = ids[m]
+		}
+	}
+	inc.members = *graph.NodeSetOf(inc.ubf)
+}
+
+// scatter writes src[k] to dst[ids[k]] and returns dst.
+func scatter[T any](dst, src []T, ids []int) []T {
+	for k, v := range src {
+		dst[ids[k]] = v
+	}
+	return dst
 }
 
 // regroup rebuilds the boundary grouping from the current boundary mask,

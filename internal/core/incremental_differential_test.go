@@ -222,7 +222,9 @@ func bboxOf(inc *Incremental) (geom.Vec3, geom.Vec3) {
 // TestIncrementalDifferential is the acceptance battery: sphere, cube and
 // torus worlds, >= 50 seeded deltas each, engines seeded at every
 // (workers, shards) in {1,4} x {1,4}, full-recompute diff after every
-// single delta.
+// single delta. Every registered detector is one more input: detectors
+// without CapIncremental take the engine's full-recompute repair, on a
+// shorter script since each of their deltas is a whole detection.
 func TestIncrementalDifferential(t *testing.T) {
 	worlds := incWorlds(t)
 	matrix := []struct{ workers, shards int }{{1, 1}, {4, 4}, {1, 4}, {4, 1}}
@@ -240,6 +242,22 @@ func TestIncrementalDifferential(t *testing.T) {
 				}
 				diffIncremental(t, "seed", inc, cfg)
 				deltaScript(t, inc, cfg, 1000+int64(m.workers*10+m.shards), steps, 50)
+			})
+		}
+		for _, name := range DetectorNames() {
+			det, _ := LookupDetector(name)
+			n := steps
+			if !det.Caps().Has(CapIncremental) {
+				n = steps / 2
+			}
+			t.Run(world.name+"/"+name, func(t *testing.T) {
+				cfg := Config{Detector: name, Workers: 2}
+				inc, err := NewIncremental(world.net, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				diffIncremental(t, "seed", inc, cfg)
+				deltaScript(t, inc, cfg, 2000, n, 50)
 			})
 		}
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -23,15 +25,7 @@ import (
 //     for worker-count and toolchain jitter but not for a return to
 //     per-round message buffers, which allocated 587 MB on this network.
 func TestFig1DetectWorkBound(t *testing.T) {
-	shape, err := shapes.NewBoxWithHoles(geom.V(0, 0, 0), geom.V(13, 13, 13),
-		[]geom.Sphere{{Center: geom.V(6.5, 6.5, 6.5), Radius: 2.3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := netgen.Generate(netgen.Config{Shape: shape, SurfaceNodes: 1800, InteriorNodes: 2410, TargetAvgDegree: 18.8, Seed: 101})
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := fig1Network(t)
 	cfg := Config{Workers: 2}
 
 	m := &obs.Mem{}
@@ -79,5 +73,66 @@ func TestFig1DetectWorkBound(t *testing.T) {
 		t.Errorf("detection allocated %d bytes, want <= %d", alloc, maxBytes)
 	} else {
 		t.Logf("detection allocated %d bytes (cap %d)", alloc, maxBytes)
+	}
+}
+
+// fig1Network generates the paper's Fig. 1 network (1800 surface + 2410
+// interior nodes around a spherical hole, seed 101).
+func fig1Network(t *testing.T) *netgen.Network {
+	t.Helper()
+	shape, err := shapes.NewBoxWithHoles(geom.V(0, 0, 0), geom.V(13, 13, 13),
+		[]geom.Sphere{{Center: geom.V(6.5, 6.5, 6.5), Radius: 2.3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := netgen.Generate(netgen.Config{Shape: shape, SurfaceNodes: 1800, InteriorNodes: 2410, TargetAvgDegree: 18.8, Seed: 101})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// TestIncrementalDeltaWorkBound is the delta path's work guard: a fixed
+// script of 50 move/move-home pairs (each axis displaced by up to 0.1 R)
+// on the Fig. 1 network under true coordinates. It caps the summed dirty
+// region counters and the balls tested by refit nodes at their current
+// values; a PR that shrinks the dirty sets lowers the caps. Moving every
+// node home restores the seeded topology, so the engine must end on the
+// seeded verdicts.
+func TestIncrementalDeltaWorkBound(t *testing.T) {
+	net := fig1Network(t)
+	inc, err := NewIncremental(net, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded := inc.Snapshot()
+	rng := rand.New(rand.NewSource(4))
+	r := 0.1 * net.Radius
+	m := &obs.Mem{}
+	for k := 0; k < 50; k++ {
+		u := rng.Intn(net.Len())
+		home := inc.PositionAt(u)
+		away := home.Add(geom.V((2*rng.Float64()-1)*r, (2*rng.Float64()-1)*r, (2*rng.Float64()-1)*r))
+		for _, p := range []geom.Vec3{away, home} {
+			if _, err := inc.ApplyContext(context.Background(), m, Delta{Op: DeltaMove, Node: u, Pos: p}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	capped := []struct {
+		name     string
+		got, max int64
+	}{
+		{"dirty_ubf_nodes", m.Total(obs.StageIncremental, obs.CtrDirtyUBF), 12498},
+		{"dirty_iff_nodes", m.Total(obs.StageIncremental, obs.CtrDirtyIFF), 48823},
+		{"refit balls_tested", m.Total(obs.StageIncremental, obs.CtrBallsTested), 2414374},
+	}
+	for _, c := range capped {
+		if c.got > c.max {
+			t.Errorf("%s = %d over 100 deltas, want <= %d", c.name, c.got, c.max)
+		}
+	}
+	if !reflect.DeepEqual(inc.Snapshot(), seeded) {
+		t.Error("moving every node home did not restore the seeded detection state")
 	}
 }

@@ -221,6 +221,20 @@ func (s *NodeSet) Has(u int) bool {
 	return u >= 0 && u>>6 < len(s.words) && s.words[u>>6]&(1<<(uint(u)&63)) != 0
 }
 
+// Remove deletes u; out-of-capacity or negative indices are ignored.
+func (s *NodeSet) Remove(u int) {
+	if u >= 0 && u>>6 < len(s.words) {
+		s.words[u>>6] &^= 1 << (uint(u) & 63)
+	}
+}
+
+// Grow extends the capacity to nodes [0, n), keeping the members.
+func (s *NodeSet) Grow(n int) {
+	for len(s.words) < (n+63)/64 {
+		s.words = append(s.words, 0)
+	}
+}
+
 // Count returns the number of members.
 func (s *NodeSet) Count() int {
 	total := 0
@@ -304,14 +318,23 @@ func (s *Scratch) Dist(u int) int {
 // next traversal.
 func (s *Scratch) Reached() []int32 { return s.order }
 
+// Rows is the adjacency shape the traversals run over: a node universe
+// [0, Len()) with one neighbor row per node. *CSR satisfies it, and so do
+// detection's node table and its incremental engine's live stable-ID
+// adjacency, so every breadth-first search runs the one expansion below.
+type Rows interface {
+	Len() int
+	Neighbors(u int) []int32
+}
+
 // BFSHops runs a multi-source breadth-first search from sources over the
-// subgraph induced by allowed (nil admits every node), out to at most
+// subgraph of r induced by allowed (nil admits every node), out to at most
 // maxHops (negative means unlimited). Results land in s: Reached lists the
 // visited nodes in expansion order, Dist their hop distances. Sources
 // rejected by allowed are ignored. The expansion is deterministic: FIFO
-// frontier, neighbors in stored adjacency order.
-func (c *CSR) BFSHops(s *Scratch, sources []int, allowed *NodeSet, maxHops int) {
-	n := c.Len()
+// frontier, neighbors in stored row order.
+func BFSHops(r Rows, s *Scratch, sources []int, allowed *NodeSet, maxHops int) {
+	n := r.Len()
 	s.begin(n)
 	for _, src := range sources {
 		if src < 0 || src >= n || s.seen(src) {
@@ -322,21 +345,26 @@ func (c *CSR) BFSHops(s *Scratch, sources []int, allowed *NodeSet, maxHops int) 
 		}
 		s.visit(src, 0, Unreachable)
 	}
-	c.expand(s, allowed, maxHops, -1)
+	expand(r, s, allowed, maxHops, -1)
 	s.Visited += int64(len(s.order))
+}
+
+// BFSHops is the package-level BFSHops over c.
+func (c *CSR) BFSHops(s *Scratch, sources []int, allowed *NodeSet, maxHops int) {
+	BFSHops(c, s, sources, allowed, maxHops)
 }
 
 // expand drains the frontier; stopAt >= 0 halts as soon as that node is
 // discovered (its distance and parent are already final — BFS assigns both
 // at discovery time, so an early exit cannot change the extracted path).
-func (c *CSR) expand(s *Scratch, allowed *NodeSet, maxHops int, stopAt int) {
+func expand(r Rows, s *Scratch, allowed *NodeSet, maxHops int, stopAt int) {
 	for head := 0; head < len(s.order); head++ {
 		u := s.order[head]
 		du := s.dist[u]
 		if maxHops >= 0 && int(du) >= maxHops {
 			continue
 		}
-		for _, v := range c.col[c.rowPtr[u]:c.rowPtr[u+1]] {
+		for _, v := range r.Neighbors(int(u)) {
 			if s.seen(int(v)) {
 				continue
 			}
@@ -370,7 +398,7 @@ func (c *CSR) ShortestPath(s *Scratch, u, v int, allowed *NodeSet, out []int) []
 	}
 	s.begin(n)
 	s.visit(u, 0, Unreachable)
-	c.expand(s, allowed, -1, v)
+	expand(c, s, allowed, -1, v)
 	s.Visited += int64(len(s.order))
 	if !s.seen(v) {
 		return nil
@@ -393,7 +421,7 @@ func (c *CSR) HopDistance(s *Scratch, u, v int, allowed *NodeSet) int {
 	}
 	s.begin(n)
 	s.visit(u, 0, Unreachable)
-	c.expand(s, allowed, -1, v)
+	expand(c, s, allowed, -1, v)
 	s.Visited += int64(len(s.order))
 	if !s.seen(v) {
 		return Unreachable

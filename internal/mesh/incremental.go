@@ -43,10 +43,7 @@ import (
 // Topology is the live adjacency view the incremental engine rebuilds
 // dirty groups from: a stable-ID universe of Len() nodes with ascending
 // neighbor rows. core.Incremental satisfies it directly.
-type Topology interface {
-	Len() int
-	Neighbors(u int) []int32
-}
+type Topology = graph.Rows
 
 // maxCachedSurfaces caps the per-engine cache; beyond it the
 // least-recently-served entry is evicted. Sessions rarely hold more than a
@@ -190,16 +187,6 @@ func (e *Incremental) Surfaces(ctx context.Context, o obs.Observer, topo Topolog
 		dst = append(dst, surf)
 	}
 	return dst, nil
-}
-
-// BuildTopology constructs one surface per group directly on a stable-ID
-// topology, without caching: a throwaway engine serves every group as a
-// miss, so each surface is a from-scratch compact-space build —
-// bit-identical to BuildAll over the same adjacency (the differential
-// matrix proves the equivalence). This is the full-recompute path servers
-// use for detectors without incremental support.
-func BuildTopology(ctx context.Context, o obs.Observer, topo Topology, groups [][]int, cfg Config) ([]*Surface, error) {
-	return NewIncremental(cfg).Surfaces(ctx, o, topo, groups, nil)
 }
 
 // lookup finds the cached entry whose member list equals group exactly.

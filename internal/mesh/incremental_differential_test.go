@@ -303,24 +303,22 @@ func diffEdgeList(t *testing.T, label string, got, want []Edge) {
 }
 
 // TestMeshIncrementalDifferential is the acceptance battery: sphere, cube
-// and torus worlds, 50 seeded deltas each, engine configurations at every
-// (workers, SPT cache) in {1,4} x {on,off}, from-scratch surface diff
-// after every single delta.
+// and torus worlds, 50 seeded deltas each, with the SPT cache on and off,
+// from-scratch surface diff after every single delta. Surface construction
+// is serial, so there is no worker dimension; the subtests keep their
+// w1_ names.
 func TestMeshIncrementalDifferential(t *testing.T) {
 	worlds := meshWorlds(t)
-	matrix := []struct {
-		workers int
-		noSPT   bool
-	}{{1, false}, {4, false}, {1, true}, {4, true}}
+	modes := []bool{false, true} // noSPT
 	steps := 50
 	if testing.Short() {
-		matrix = matrix[:2]
+		modes = modes[:1]
 		steps = 15
 	}
 	for _, world := range worlds {
-		for _, m := range matrix {
-			t.Run(fmt.Sprintf("%s/w%d_spt%v", world.name, m.workers, !m.noSPT), func(t *testing.T) {
-				cfg := Config{Workers: m.workers, noSPT: m.noSPT}
+		for _, noSPT := range modes {
+			t.Run(fmt.Sprintf("%s/w1_spt%v", world.name, !noSPT), func(t *testing.T) {
+				cfg := Config{noSPT: noSPT}
 				inc, err := core.NewIncremental(world.net, core.Config{})
 				if err != nil {
 					t.Fatal(err)
@@ -331,7 +329,7 @@ func TestMeshIncrementalDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				diffMeshIncremental(t, "seed", inc, cfg, served)
-				meshDeltaScript(t, inc, eng, cfg, 1000+int64(m.workers*10)+b2i(m.noSPT), steps, 50)
+				meshDeltaScript(t, inc, eng, cfg, 1010+b2i(noSPT), steps, 50)
 			})
 		}
 	}

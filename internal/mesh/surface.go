@@ -21,13 +21,6 @@ type Config struct {
 	// MaxRepairRounds bounds the fill↔flip alternation: each flip can
 	// open a polygon hole that another fill pass closes. Zero means 8.
 	MaxRepairRounds int
-	// Workers no longer bounds anything in surface construction, which
-	// is serial: association is one flood of the group, shortest-path
-	// trees grow only as far as their queries reach, and triangle counts
-	// are kept incrementally. It is accepted so existing callers compile;
-	// the mesh is the same at every value. (RefinedPositionsWorkers
-	// takes its own width.)
-	Workers int
 
 	// noSPT disables the shortest-path trees so every path and distance
 	// query runs a fresh BFS — the slow reference mode the differential

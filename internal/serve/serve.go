@@ -2,10 +2,10 @@
 // where clients POST a network once (the shared cli.Envelope framing or
 // the legacy raw network JSON of internal/export), then stream
 // join/leave/move/crash deltas and read back the updated boundary groups.
-// A session built on an incremental-capable detector (the paper pipeline)
-// wraps one core.Incremental engine, so a delta recomputes only the dirty
-// region around the change; sessions on other detectors fall back to a
-// full recompute per delta over the mirrored active set.
+// Every session, whatever its detector, wraps one core.Incremental engine:
+// on an incremental-capable detector (the paper pipeline) a delta
+// recomputes only the dirty region around the change, and on the others
+// the engine re-runs the detector over the active set.
 //
 // Routes (current API version is /v1; the unprefixed spellings are
 // deprecated aliases that answer identically with a `Deprecation: true`
@@ -22,9 +22,9 @@
 //
 // The mesh route serves one triangular surface per boundary group
 // (landmarks with smoothed positions, virtual edges, faces, manifold
-// diagnostics). Incremental sessions keep a mesh.Incremental engine warm
-// across deltas, so unchanged groups answer from cache; full-recompute
-// sessions rebuild every surface per request. Topology-only detectors
+// diagnostics). Every session keeps a mesh.Incremental engine warm across
+// deltas, so unchanged groups answer from cache and each delta's changed
+// edges evict only the surfaces they touch. Topology-only detectors
 // (no measurement capability) answer 501 — their groups carry no
 // geometry a surface could be anchored to.
 //
@@ -57,7 +57,6 @@ import (
 	"repro/internal/export"
 	"repro/internal/geom"
 	"repro/internal/mesh"
-	"repro/internal/netgen"
 	"repro/internal/obs"
 )
 
@@ -112,244 +111,27 @@ type session struct {
 	mu       sync.Mutex
 	id       string
 	detector string
-	eng      engine
-	deltas   int64
-	metrics  *obs.Metrics
+	// inc holds the session's stable-ID detection state; mesh caches its
+	// group surfaces across deltas.
+	inc     *core.Incremental
+	mesh    *mesh.Incremental
+	deltas  int64
+	metrics *obs.Metrics
 	// workers is the session's configured parallelism, reused by the mesh
 	// handler's smoothing pass (bit-identical at every width).
 	workers int
 }
 
-// engine is what a session needs from a detection backend: the state
-// queries the wire types render, plus delta application. Boundary and
-// group members are stable IDs — IDs survive departures, and joins extend
-// the ID space — regardless of whether the backend repairs incrementally
-// or recomputes from scratch.
-type engine interface {
-	Len() int
-	ActiveCount() int
-	BoundaryCount() int
-	Groups() [][]int
-	Radius() float64
-	Snapshot() *core.Result
-	Apply(ctx context.Context, o obs.Observer, d core.Delta) (int, error)
-	// Mesh reconstructs one triangular surface per boundary group, in
-	// stable IDs. PositionAt supplies node positions for the smoothing
-	// pass the mesh handler runs per serve.
-	Mesh(ctx context.Context, o obs.Observer) ([]*mesh.Surface, error)
-	PositionAt(u int) geom.Vec3
-}
-
-// incEngine is the incremental backend: core.Incremental already speaks
-// stable IDs and repairs only the dirty region, and the paired
-// mesh.Incremental keeps surfaces cached across deltas — Apply feeds each
-// delta's changed edges into its invalidation pass.
-type incEngine struct {
-	inc  *core.Incremental
-	mesh *mesh.Incremental
-}
-
-func (e incEngine) Len() int               { return e.inc.Len() }
-func (e incEngine) ActiveCount() int       { return e.inc.ActiveCount() }
-func (e incEngine) BoundaryCount() int     { return e.inc.BoundaryCount() }
-func (e incEngine) Groups() [][]int        { return e.inc.Groups() }
-func (e incEngine) Radius() float64        { return e.inc.Radius() }
-func (e incEngine) Snapshot() *core.Result { return e.inc.Snapshot() }
-func (e incEngine) Apply(ctx context.Context, o obs.Observer, d core.Delta) (int, error) {
-	id, err := e.inc.ApplyContext(ctx, o, d)
-	// ApplyContext is atomic — every error is raised before the topology
-	// changes — so a nil error is exactly a committed topology change, and
-	// each one reaches the mesh cache.
+// apply absorbs one delta. ApplyContext is atomic — every error is raised
+// before the topology changes — so a nil error is exactly a committed
+// topology change, and each one reaches the mesh cache.
+func (sess *session) apply(ctx context.Context, o obs.Observer, d core.Delta) (int, error) {
+	id, err := sess.inc.ApplyContext(ctx, o, d)
 	if err == nil {
-		node, peers := e.inc.LastTopology()
-		e.mesh.Invalidate(o, node, peers)
+		node, peers := sess.inc.LastTopology()
+		sess.mesh.Invalidate(o, node, peers)
 	}
 	return id, err
-}
-func (e incEngine) Mesh(ctx context.Context, o obs.Observer) ([]*mesh.Surface, error) {
-	return e.mesh.Surfaces(ctx, o, e.inc, e.inc.GroupsView(), nil)
-}
-func (e incEngine) PositionAt(u int) geom.Vec3 { return e.inc.PositionAt(u) }
-
-// fullEngine is the fallback backend for detectors without
-// CapIncremental: it mirrors the session's stable-ID state (positions and
-// liveness) and re-runs the detector from scratch over the active set
-// after every delta, mapping the compact recompute result back to stable
-// IDs. Correct for any detector; costs a full detection per delta.
-type fullEngine struct {
-	cfg    core.Config
-	radius float64
-
-	pos      []geom.Vec3
-	active   []bool
-	activeN  int
-	boundary []bool  // stable-ID indexed
-	groups   [][]int // stable IDs, ascending within each group
-}
-
-// newFullEngine seeds the mirror from the posted network and runs the
-// initial detection.
-func newFullEngine(ctx context.Context, o obs.Observer, net *netgen.Network, cfg core.Config) (*fullEngine, error) {
-	e := &fullEngine{
-		cfg:    cfg,
-		radius: net.Radius,
-		pos:    net.Positions(),
-	}
-	e.active = make([]bool, len(e.pos))
-	for i := range e.active {
-		e.active[i] = true
-	}
-	e.activeN = len(e.pos)
-	if err := e.recompute(ctx, o); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-func (e *fullEngine) Len() int         { return len(e.pos) }
-func (e *fullEngine) ActiveCount() int { return e.activeN }
-func (e *fullEngine) Radius() float64  { return e.radius }
-func (e *fullEngine) Groups() [][]int  { return e.groups }
-func (e *fullEngine) BoundaryCount() int {
-	n := 0
-	for _, b := range e.boundary {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
-func (e *fullEngine) Snapshot() *core.Result {
-	res := &core.Result{
-		Boundary: append([]bool(nil), e.boundary...),
-		Groups:   make([][]int, len(e.groups)),
-	}
-	for g, members := range e.groups {
-		res.Groups[g] = append([]int(nil), members...)
-	}
-	return res
-}
-
-// recompute assembles the active nodes into a compact network, runs the
-// configured detector, and maps the verdicts back to stable IDs.
-func (e *fullEngine) recompute(ctx context.Context, o obs.Observer) error {
-	var nodes []netgen.Node
-	var stable []int
-	for i, a := range e.active {
-		if a {
-			stable = append(stable, i)
-			nodes = append(nodes, netgen.Node{Pos: e.pos[i]})
-		}
-	}
-	network, err := netgen.Assemble(nodes, e.radius)
-	if err != nil {
-		return err
-	}
-	res, err := core.DetectContext(ctx, o, network, nil, e.cfg)
-	if err != nil {
-		return err
-	}
-	boundary := make([]bool, len(e.pos))
-	for k, b := range res.Boundary {
-		if b {
-			boundary[stable[k]] = true
-		}
-	}
-	groups := make([][]int, len(res.Groups))
-	for g, members := range res.Groups {
-		groups[g] = make([]int, len(members))
-		for k, m := range members {
-			groups[g][k] = stable[m]
-		}
-	}
-	e.boundary, e.groups = boundary, groups
-	return nil
-}
-
-func (e *fullEngine) PositionAt(u int) geom.Vec3 { return e.pos[u] }
-
-// stableTopo is a stable-ID adjacency snapshot satisfying mesh.Topology.
-type stableTopo struct{ adj [][]int32 }
-
-func (t stableTopo) Len() int                { return len(t.adj) }
-func (t stableTopo) Neighbors(u int) []int32 { return t.adj[u] }
-
-// Mesh is the full-recompute path: assemble the active set, lift the
-// compact adjacency back to stable IDs (a monotone renaming, so rows stay
-// ascending), and build every group surface from scratch.
-func (e *fullEngine) Mesh(ctx context.Context, o obs.Observer) ([]*mesh.Surface, error) {
-	var nodes []netgen.Node
-	var stable []int
-	for i, a := range e.active {
-		if a {
-			stable = append(stable, i)
-			nodes = append(nodes, netgen.Node{Pos: e.pos[i]})
-		}
-	}
-	network, err := netgen.Assemble(nodes, e.radius)
-	if err != nil {
-		return nil, err
-	}
-	adj := make([][]int32, len(e.pos))
-	for k, row := range network.G.Adj {
-		r := make([]int32, len(row))
-		for i, v := range row {
-			r[i] = int32(stable[v])
-		}
-		adj[stable[k]] = r
-	}
-	return mesh.BuildTopology(ctx, o, stableTopo{adj}, e.groups, mesh.Config{Workers: e.cfg.Workers})
-}
-
-// Apply validates the delta, mutates the mirror, and recomputes. A failed
-// recompute rolls the mutation back, so the session state stays the last
-// successfully detected one.
-func (e *fullEngine) Apply(ctx context.Context, o obs.Observer, d core.Delta) (int, error) {
-	id := d.Node
-	switch d.Op {
-	case core.DeltaJoin:
-		if !d.Pos.IsFinite() {
-			return 0, fmt.Errorf("serve: join position must be finite, got %v", d.Pos)
-		}
-		id = len(e.pos)
-		e.pos = append(e.pos, d.Pos)
-		e.active = append(e.active, true)
-		e.activeN++
-		if err := e.recompute(ctx, o); err != nil {
-			e.pos = e.pos[:id]
-			e.active = e.active[:id]
-			e.activeN--
-			return 0, err
-		}
-	case core.DeltaMove:
-		if id < 0 || id >= len(e.pos) || !e.active[id] {
-			return 0, fmt.Errorf("serve: move: no active node %d", id)
-		}
-		if !d.Pos.IsFinite() {
-			return 0, fmt.Errorf("serve: move position must be finite, got %v", d.Pos)
-		}
-		old := e.pos[id]
-		e.pos[id] = d.Pos
-		if err := e.recompute(ctx, o); err != nil {
-			e.pos[id] = old
-			return 0, err
-		}
-	case core.DeltaLeave, core.DeltaCrash:
-		if id < 0 || id >= len(e.pos) || !e.active[id] {
-			return 0, fmt.Errorf("serve: %s: no active node %d", d.Op, id)
-		}
-		e.active[id] = false
-		e.activeN--
-		if err := e.recompute(ctx, o); err != nil {
-			e.active[id] = true
-			e.activeN++
-			return 0, err
-		}
-	default:
-		return 0, fmt.Errorf("serve: unknown delta op %v", d.Op)
-	}
-	return id, nil
 }
 
 // New builds a Server; call Handler to mount it.
@@ -595,28 +377,14 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Incremental-capable detectors get dirty-region repair; the rest run
-	// a full recompute per delta over the mirrored active set. The
-	// session's private metrics sink sees everything its engine emits,
-	// starting with the initial detection.
+	// The session's private metrics sink sees everything its engine
+	// emits, starting with the initial detection.
 	det, _ := core.LookupDetector(cfg.Detector) // sessionConfig validated the name
 	sessMetrics := &obs.Metrics{}
-	engObs := obs.Tee(s.obs, sessMetrics)
-	var eng engine
-	if det.Caps().Has(core.CapIncremental) {
-		inc, err := core.NewIncrementalContext(r.Context(), engObs, net, cfg)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "detection: %v", err)
-			return
-		}
-		eng = incEngine{inc, mesh.NewIncremental(mesh.Config{Workers: cfg.Workers})}
-	} else {
-		full, err := newFullEngine(r.Context(), engObs, net, cfg)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "detection: %v", err)
-			return
-		}
-		eng = full
+	inc, err := core.NewIncrementalContext(r.Context(), obs.Tee(s.obs, sessMetrics), net, cfg)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "detection: %v", err)
+		return
 	}
 
 	s.mu.Lock()
@@ -626,7 +394,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.nextID++
-	sess := &session{id: fmt.Sprintf("s%d", s.nextID), detector: det.Name(), eng: eng, metrics: sessMetrics, workers: cfg.Workers}
+	sess := &session{id: fmt.Sprintf("s%d", s.nextID), detector: det.Name(), inc: inc, mesh: mesh.NewIncremental(mesh.Config{}), metrics: sessMetrics, workers: cfg.Workers}
 	s.sessions[sess.id] = sess
 	s.mu.Unlock()
 	obs.Add(s.obs, obs.StageServe, obs.CtrSessions, 1)
@@ -648,10 +416,10 @@ func (sess *session) summaryLocked() Summary {
 	return Summary{
 		Session:       sess.id,
 		Detector:      sess.detector,
-		Nodes:         sess.eng.Len(),
-		Active:        sess.eng.ActiveCount(),
-		BoundaryCount: sess.eng.BoundaryCount(),
-		GroupCount:    len(sess.eng.Groups()),
+		Nodes:         sess.inc.Len(),
+		Active:        sess.inc.ActiveCount(),
+		BoundaryCount: sess.inc.BoundaryCount(),
+		GroupCount:    len(sess.inc.GroupsView()),
 		DeltasApplied: sess.deltas,
 	}
 }
@@ -691,10 +459,10 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.mu.Lock()
-	snap := sess.eng.Snapshot()
+	snap := sess.inc.Snapshot()
 	det := Detail{
 		Summary: sess.summaryLocked(),
-		Radius:  sess.eng.Radius(),
+		Radius:  sess.inc.Radius(),
 		Groups:  snap.Groups,
 	}
 	sess.mu.Unlock()
@@ -751,7 +519,7 @@ func (s *Server) handleMesh(w http.ResponseWriter, r *http.Request) {
 	}
 	o := obs.Tee(s.obs, sess.metrics)
 	sess.mu.Lock()
-	surfs, err := sess.eng.Mesh(r.Context(), o)
+	surfs, err := sess.mesh.Surfaces(r.Context(), o, sess.inc, sess.inc.GroupsView(), nil)
 	if err != nil {
 		sess.mu.Unlock()
 		writeErr(w, http.StatusInternalServerError, "mesh: %v", err)
@@ -759,7 +527,7 @@ func (s *Server) handleMesh(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := meshResponse{Session: sess.id, Surfaces: make([]wireSurface, len(surfs))}
 	for i, surf := range surfs {
-		refined := mesh.RefinedPositionsWorkers(surf, sess.eng.PositionAt, 0.7, sess.workers)
+		refined := mesh.RefinedPositionsWorkers(surf, sess.inc.PositionAt, 0.7, sess.workers)
 		ws := wireSurface{
 			Group:           i,
 			GroupSize:       len(surf.Group),
@@ -849,7 +617,7 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 		var id int
 		if err == nil {
 			code = http.StatusBadRequest
-			id, err = sess.eng.Apply(applyCtx, o, d)
+			id, err = sess.apply(applyCtx, o, d)
 		}
 		if err != nil {
 			// Apply validates before it mutates, so the prefix [0, i) is

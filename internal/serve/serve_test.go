@@ -307,12 +307,78 @@ func TestServeMeshFallbackAndCapability(t *testing.T) {
 	active[7] = false
 	diffMeshServed(t, ts.URL, sv.Session, pos, active, net.Radius, cfg)
 
+	// A move that changes an edge inside a group but keeps every member
+	// list must still evict that group's cached surface.
+	repairs := func() int64 {
+		var m MetricsResponse
+		doJSON(t, http.MethodGet, ts.URL+"/v1/metrics", nil, http.StatusOK, &m)
+		return m.Sessions[sv.Session].Counters["mesh_incremental/mesh_repairs"]
+	}
+	before := repairs()
+	u, p := edgeMove(t, pos, active, net.Radius, cfg)
+	body, _ = json.Marshal(map[string]any{"deltas": []map[string]any{{"op": "move", "node": u, "pos": map[string]float64{"x": p.X, "y": p.Y, "z": p.Z}}}})
+	doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+sv.Session+"/deltas", body, http.StatusOK, nil)
+	pos[u] = p
+	diffMeshServed(t, ts.URL, sv.Session, pos, active, net.Radius, cfg)
+	if after := repairs(); after <= before {
+		t.Errorf("intra-group edge change served from cache: mesh_repairs %d -> %d", before, after)
+	}
+
 	var contour Summary
 	doJSON(t, http.MethodPost, ts.URL+"/v1/sessions?detector=sv-contour", envelopeBody(t, net), http.StatusCreated, &contour)
 	resp := doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+contour.Session+"/mesh", nil, http.StatusNotImplemented, nil)
 	if !strings.Contains(resp, "topology-only") {
 		t.Errorf("501 body %q does not explain the capability gap", resp)
 	}
+}
+
+// edgeMove finds a move of a boundary-group member u onto a group member
+// v just out of its range, such that every group keeps its member list:
+// the delta then changes an intra-group edge and nothing a cache key sees.
+func edgeMove(t *testing.T, pos []geom.Vec3, active []bool, radius float64, cfg core.Config) (int, geom.Vec3) {
+	t.Helper()
+	groups := func(pos []geom.Vec3) [][]int {
+		var nodes []netgen.Node
+		var stable []int
+		for i, a := range active {
+			if a {
+				stable = append(stable, i)
+				nodes = append(nodes, netgen.Node{Pos: pos[i]})
+			}
+		}
+		net, err := netgen.Assemble(nodes, radius)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Detect(net, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range res.Groups {
+			for k, m := range g {
+				g[k] = stable[m]
+			}
+		}
+		return res.Groups
+	}
+	want := groups(pos)
+	for _, g := range want {
+		for _, u := range g {
+			for _, v := range g {
+				d := pos[u].Dist(pos[v])
+				if d <= radius || d > 1.2*radius {
+					continue
+				}
+				moved := append([]geom.Vec3(nil), pos...)
+				moved[u] = pos[u].Add(pos[v].Sub(pos[u]).Scale((d - 0.95*radius) / d))
+				if fmt.Sprint(groups(moved)) == fmt.Sprint(want) {
+					return u, moved[u]
+				}
+			}
+		}
+	}
+	t.Fatal("no move changes an intra-group edge while keeping every group")
+	return 0, geom.Vec3{}
 }
 
 // TestServeSessionLifecycle drives the full API end to end: create from
@@ -440,60 +506,81 @@ func TestServeCreateRejects(t *testing.T) {
 	}
 }
 
-// TestServeDeltaRejects covers the delta error seams: validation failures
-// report the applied prefix and leave the session consistent.
+// TestServeDeltaRejects covers the delta error seams, once per registered
+// detector: validation failures wrap the engine's typed errors, report the
+// applied prefix and leave the session consistent, and a batch may remove
+// every node.
 func TestServeDeltaRejects(t *testing.T) {
 	net := testNetwork(t)
 	ts := httptest.NewServer(New(Options{}).Handler())
 	defer ts.Close()
-	var sum Summary
-	doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", envelopeBody(t, net), http.StatusCreated, &sum)
-	deltasURL := ts.URL + "/v1/sessions/" + sum.Session + "/deltas"
+	for _, name := range core.DetectorNames() {
+		t.Run(name, func(t *testing.T) {
+			var sum Summary
+			doJSON(t, http.MethodPost, ts.URL+"/v1/sessions?detector="+name, envelopeBody(t, net), http.StatusCreated, &sum)
+			deltasURL := ts.URL + "/v1/sessions/" + sum.Session + "/deltas"
 
-	for _, tc := range []struct {
-		name string
-		body string
-		want string
-	}{
-		{"empty batch", `{"deltas": []}`, "empty delta batch"},
-		{"unknown field", `{"deltas": [], "flush": true}`, "flush"},
-		{"unknown op", `{"deltas": [{"op": "explode", "node": 1}]}`, "unknown op"},
-		{"join without pos", `{"deltas": [{"op": "join"}]}`, "needs a pos"},
-		{"move without pos", `{"deltas": [{"op": "move", "node": 1}]}`, "needs a pos"},
-		{"no such node", `{"deltas": [{"op": "leave", "node": 999999}]}`, "no active node"},
-		{"non-finite pos", `{"deltas": [{"op": "join", "pos": {"x": 1e999, "y": 0, "z": 0}}]}`, ""},
-		{"not json", `deltas!`, "deltas body"},
-	} {
-		body := doJSON(t, http.MethodPost, deltasURL, []byte(tc.body), http.StatusBadRequest, nil)
-		if tc.want != "" && !strings.Contains(body, tc.want) {
-			t.Errorf("%s: response %q does not mention %q", tc.name, body, tc.want)
-		}
-	}
+			for _, tc := range []struct {
+				name string
+				body string
+				want string
+			}{
+				{"empty batch", `{"deltas": []}`, "empty delta batch"},
+				{"unknown field", `{"deltas": [], "flush": true}`, "flush"},
+				{"unknown op", `{"deltas": [{"op": "explode", "node": 1}]}`, "unknown op"},
+				{"join without pos", `{"deltas": [{"op": "join"}]}`, "needs a pos"},
+				{"move without pos", `{"deltas": [{"op": "move", "node": 1}]}`, "needs a pos"},
+				{"no such node", `{"deltas": [{"op": "leave", "node": 999999}]}`, core.ErrNoSuchNode.Error()},
+				{"move no such node", `{"deltas": [{"op": "move", "node": 999999, "pos": {"x": 0, "y": 0, "z": 0}}]}`, core.ErrNoSuchNode.Error()},
+				{"non-finite pos", `{"deltas": [{"op": "join", "pos": {"x": 1e999, "y": 0, "z": 0}}]}`, ""},
+				{"not json", `deltas!`, "deltas body"},
+			} {
+				body := doJSON(t, http.MethodPost, deltasURL, []byte(tc.body), http.StatusBadRequest, nil)
+				if tc.want != "" && !strings.Contains(body, tc.want) {
+					t.Errorf("%s: response %q does not mention %q", tc.name, body, tc.want)
+				}
+			}
 
-	// Unknown session: both delta and detail routes 404.
-	doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/nope/deltas", []byte(`{"deltas": [{"op": "leave", "node": 1}]}`), http.StatusNotFound, nil)
-	doJSON(t, http.MethodDelete, ts.URL+"/v1/sessions/nope", nil, http.StatusNotFound, nil)
+			// Unknown session: both delta and detail routes 404.
+			doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/nope/deltas", []byte(`{"deltas": [{"op": "leave", "node": 1}]}`), http.StatusNotFound, nil)
+			doJSON(t, http.MethodDelete, ts.URL+"/v1/sessions/nope", nil, http.StatusNotFound, nil)
 
-	// Mid-batch failure: the valid prefix applies, the response reports
-	// it, and the session still matches a full recompute.
-	var fail errorResponse
-	doJSON(t, http.MethodPost, deltasURL,
-		[]byte(`{"deltas": [{"op": "leave", "node": 3}, {"op": "leave", "node": 3}, {"op": "leave", "node": 4}]}`),
-		http.StatusBadRequest, &fail)
-	if fail.Applied != 1 || !strings.Contains(fail.Error, "delta 1") {
-		t.Fatalf("partial batch: %+v", fail)
-	}
-	pos := net.Positions()
-	active := make([]bool, len(pos))
-	for i := range active {
-		active[i] = true
-	}
-	active[3] = false // only the prefix landed
-	diffServed(t, ts.URL, sum.Session, pos, active, net.Radius, core.Config{})
-	var det Detail
-	doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+sum.Session, nil, http.StatusOK, &det)
-	if det.DeltasApplied != 1 {
-		t.Fatalf("deltas_applied = %d, want the applied prefix 1", det.DeltasApplied)
+			// Mid-batch failure: the valid prefix applies, the response reports
+			// it, and the session still matches a full recompute.
+			var fail errorResponse
+			doJSON(t, http.MethodPost, deltasURL,
+				[]byte(`{"deltas": [{"op": "leave", "node": 3}, {"op": "leave", "node": 3}, {"op": "leave", "node": 4}]}`),
+				http.StatusBadRequest, &fail)
+			if fail.Applied != 1 || !strings.Contains(fail.Error, "delta 1") {
+				t.Fatalf("partial batch: %+v", fail)
+			}
+			pos := net.Positions()
+			active := make([]bool, len(pos))
+			for i := range active {
+				active[i] = true
+			}
+			active[3] = false // only the prefix landed
+			diffServed(t, ts.URL, sum.Session, pos, active, net.Radius, core.Config{Detector: name})
+			var det Detail
+			doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+sum.Session, nil, http.StatusOK, &det)
+			if det.DeltasApplied != 1 {
+				t.Fatalf("deltas_applied = %d, want the applied prefix 1", det.DeltasApplied)
+			}
+
+			// One batch removes every remaining node.
+			var leaves []map[string]any
+			for i, a := range active {
+				if a {
+					leaves = append(leaves, map[string]any{"op": "leave", "node": i})
+				}
+			}
+			body, _ := json.Marshal(map[string]any{"deltas": leaves})
+			var resp deltasResponse
+			doJSON(t, http.MethodPost, deltasURL, body, http.StatusOK, &resp)
+			if resp.Applied != len(leaves) || resp.Summary.Active != 0 || resp.Summary.BoundaryCount != 0 || resp.Summary.GroupCount != 0 {
+				t.Fatalf("leave-every-node batch: %+v", resp)
+			}
+		})
 	}
 }
 
