@@ -1,15 +1,14 @@
 # Development targets. `make check` is the full local gate: static
 # analysis, the complete test suite under the race detector (including the
-# parallel sweep engine's scheduling-independence tests), a one-iteration
-# benchmark smoke pass, and a short fuzz pass over every fuzz target.
+# parallel sweep engine's scheduling-independence tests and the
+# deterministic *WorkBound work gates), a one-iteration benchmark smoke
+# pass, the end-to-end smokes, and a short fuzz pass over every fuzz
+# target. End-to-end performance is measured by perfbench/, not here.
 
 GO      ?= go
 FUZZTIME ?= 10s
-# Per-benchmark time for `make bench`. Short enough for a laptop pass;
-# raise it when recording a baseline worth keeping.
-BENCHTIME ?= 0.3s
 
-.PHONY: build test vet race race-shard fuzz bench benchsmoke trace-smoke trace-stat serve-smoke mesh-smoke ftdc-smoke detector-matrix bench-diff check ci
+.PHONY: build test vet race race-shard fuzz benchsmoke trace-smoke trace-stat serve-smoke mesh-smoke ftdc-smoke detector-matrix check ci
 
 build:
 	$(GO) build ./...
@@ -54,15 +53,10 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzLandmarkAssociation -fuzztime=$(FUZZTIME) ./internal/mesh
 	$(GO) test -run=^$$ -fuzz=FuzzDirectFlood -fuzztime=$(FUZZTIME) ./internal/core
 
-# `make bench` records a machine-readable baseline (schema: internal/bench,
-# documented in EXPERIMENTS.md) named for today's date.
-bench:
-	BENCH_JSON=BENCH_$$(date +%Y-%m-%d).json $(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) .
-
-# One iteration of every benchmark, writing the baseline to a throwaway
-# file — proves the suite and the BENCH_JSON writer stay runnable.
+# One iteration of every benchmark — proves the profiling entry points stay
+# runnable.
 benchsmoke:
-	BENCH_JSON=$$(mktemp -d)/BENCH_smoke.json $(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # End-to-end observability smoke: record a trace of a faulty asynchronous
 # run at reduced scale, then let the run's own exit-time validation (and a
@@ -118,33 +112,7 @@ ftdc-smoke:
 detector-matrix:
 	$(GO) run ./cmd/experiment -run detectors -scale 0.15
 
-# Tolerances for the bench regression gate. ns/op and allocs/op regress
-# only when they *increase* beyond the fraction; the per-op work counters
-# (balls tested, nodes checked) may drift either way by TOL_WORK — the
-# instance-pool benchmarks average over i%16 pre-generated inputs, so the
-# per-op mean shifts slightly whenever the harness picks an iteration
-# count that is not a pool multiple. TOL_NS matches the measured noise
-# ceiling of the reference VM (10–40%, see EXPERIMENTS.md): interleaved
-# A/B of identical binaries shows the nanosecond-scale stages drifting
-# ~30% between recording sessions, so a tighter wall-time gate fails on
-# host state rather than code.
-TOL_NS     ?= 0.40
-TOL_ALLOCS ?= 0.10
-TOL_WORK   ?= 0.02
-
-# Regression gate: diff the two newest committed baselines (BENCH_*.json,
-# named by date so lexical order is chronological). Fails when the newer
-# baseline regressed beyond the tolerances above; a no-op until at least
-# two baselines exist.
-bench-diff:
-	@set -- $$(ls BENCH_*.json 2>/dev/null | sort); \
-	if [ $$# -lt 2 ]; then echo "bench-diff: need two BENCH_*.json baselines, have $$# — skipping"; exit 0; fi; \
-	while [ $$# -gt 2 ]; do shift; done; \
-	echo "bench-diff: $$1 -> $$2"; \
-	$(GO) run ./cmd/tracestat -baseline $$2 -against $$1 \
-		-tol-ns $(TOL_NS) -tol-allocs $(TOL_ALLOCS) -tol-work $(TOL_WORK)
-
-check: vet race race-shard benchsmoke trace-smoke trace-stat serve-smoke mesh-smoke ftdc-smoke detector-matrix bench-diff fuzz
+check: vet race race-shard benchsmoke trace-smoke trace-stat serve-smoke mesh-smoke ftdc-smoke detector-matrix fuzz
 
 # The cache-defeating correctness gate for CI and pre-merge runs: static
 # analysis plus the full test suite with result caching off, so every

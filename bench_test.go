@@ -3,14 +3,11 @@ package repro_test
 // One benchmark per table/figure of the paper's evaluation (see DESIGN.md's
 // per-experiment index). Benchmarks run the same code paths as
 // cmd/experiment at reduced deployment scale so `go test -bench=.` finishes
-// in minutes; absolute timings are reported per pipeline stage.
-//
-// When the BENCH_JSON environment variable names a file, TestMain writes the
-// run's measurements there in the machine-readable baseline format of
-// internal/bench (see EXPERIMENTS.md for the schema): per-case wall time and
-// op counts, the UBF work counters where the case exposes them, and
-// approximate per-op allocation figures. `make bench` uses this to produce
-// BENCH_<date>.json.
+// in minutes; absolute timings are reported per pipeline stage. They are
+// profiling entry points: end-to-end performance is measured by perfbench/,
+// and deterministic work is gated by the *WorkBound tests. Every case
+// reports allocations, and the cases that run UBF report its work counters
+// per op (balls/op, checks/op).
 
 import (
 	"bytes"
@@ -23,8 +20,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,7 +27,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/export"
@@ -52,56 +46,11 @@ import (
 // benchScale keeps bench deployments small enough for tight iteration.
 const benchScale = 0.15
 
-var benchRecorder bench.Recorder
-
-// record registers the enclosing benchmark with the baseline recorder; the
-// returned stage is live during the run so the benchmark body can accumulate
-// work counters (balls tested, nodes checked) into it. Wall time and op
-// counts fold across the harness's ramp-up invocations, so ns_per_op is the
-// average over every timed iteration. Allocation figures come from
-// MemStats deltas around the invocation — approximate, but they include the
-// benchmark loop only when record is called right before ResetTimer.
-func record(b *testing.B) *bench.Stage {
-	s := &bench.Stage{Name: strings.TrimPrefix(b.Name(), "Benchmark")}
-	var m0 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	b.Cleanup(func() {
-		var m1 runtime.MemStats
-		runtime.ReadMemStats(&m1)
-		s.WallNS = b.Elapsed().Nanoseconds()
-		s.Ops = int64(b.N)
-		if s.Ops > 0 {
-			s.Allocs = int64(m1.Mallocs-m0.Mallocs) / s.Ops
-			s.Bytes = int64(m1.TotalAlloc-m0.TotalAlloc) / s.Ops
-		}
-		benchRecorder.Record(*s)
-	})
-	return s
-}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if path := os.Getenv("BENCH_JSON"); path != "" && code == 0 {
-		if err := writeBenchBaseline(path); err != nil {
-			fmt.Fprintln(os.Stderr, "bench baseline:", err)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
-
-// writeBenchBaseline dumps the recorder to the BENCH_JSON file. A run with
-// no benchmarks (plain `go test`) records nothing and writes nothing, so
-// test-only invocations never clobber an existing baseline.
-func writeBenchBaseline(path string) error {
-	stages := benchRecorder.Stages()
-	if len(stages) == 0 {
-		return nil
-	}
-	name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "BENCH_"), ".json")
-	bl := bench.New(name, time.Now().UTC().Format(time.RFC3339), benchScale)
-	bl.Stages = stages
-	return bl.WriteFile(path)
+// reportWork reports UBF work summed over b.N iterations as per-op
+// metrics.
+func reportWork(b *testing.B, balls, checks int64) {
+	b.ReportMetric(float64(balls)/float64(b.N), "balls/op")
+	b.ReportMetric(float64(checks)/float64(b.N), "checks/op")
 }
 
 func sumInts(xs []int) int64 {
@@ -152,19 +101,21 @@ func benchFixtures(b *testing.B) (*netgen.Network, *netgen.Measurement, *core.Re
 // MDS coordinates plus surface construction (Figs. 1(b)–(f)).
 func BenchmarkPipelineFig1(b *testing.B) {
 	net, meas, _, _ := benchFixtures(b)
-	st := record(b)
+	var balls, checks int64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		det, err := core.Detect(net, meas, core.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		st.BallsTested += sumInts(det.BallsTested)
-		st.NodesChecked += sumInts(det.NodesChecked)
+		balls += sumInts(det.BallsTested)
+		checks += sumInts(det.NodesChecked)
 		if _, err := mesh.BuildAll(net.G, det.Groups, mesh.Config{K: 3}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportWork(b, balls, checks)
 }
 
 // BenchmarkFig1gErrorPoint measures one point of the Fig. 1(g) error sweep:
@@ -172,7 +123,7 @@ func BenchmarkPipelineFig1(b *testing.B) {
 func BenchmarkFig1gErrorPoint(b *testing.B) {
 	net, _, _, _ := benchFixtures(b)
 	truth := net.TrueBoundary()
-	record(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		meas := net.Measure(ranging.UniformAdditive{Fraction: 0.3}, int64(i))
@@ -191,7 +142,7 @@ func BenchmarkFig1gErrorPoint(b *testing.B) {
 func BenchmarkFig1hMistakenDistribution(b *testing.B) {
 	net, _, det, _ := benchFixtures(b)
 	truth := net.TrueBoundary()
-	record(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := metrics.Evaluate(net.G, truth, det.Boundary, eval.MaxHops); err != nil {
@@ -211,7 +162,7 @@ func BenchmarkFig1iMissingDistribution(b *testing.B) {
 // study: surface reconstruction from a noisy detection.
 func BenchmarkFig1jklMeshUnderError(b *testing.B) {
 	net, _, det, _ := benchFixtures(b)
-	record(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mesh.BuildAll(net.G, det.Groups, mesh.Config{K: 3}); err != nil {
@@ -224,7 +175,7 @@ func BenchmarkFig1jklMeshUnderError(b *testing.B) {
 func benchScenario(b *testing.B, sc eval.Scenario) {
 	b.Helper()
 	sc = sc.Scaled(benchScale)
-	record(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eval.RunScenario(sc, 0, core.Config{}, mesh.Config{K: 3}); err != nil {
@@ -253,7 +204,7 @@ func BenchmarkFig10Sphere(b *testing.B) { benchScenario(b, eval.Fig10()) }
 func BenchmarkFig11Sweep(b *testing.B) {
 	scenarios := []eval.Scenario{eval.Fig10().Scaled(benchScale), eval.Fig1().Scaled(benchScale)}
 	levels := []float64{0, 0.3, 0.6}
-	record(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eval.RunAggregateSweep(scenarios, levels, core.Config{}); err != nil {
@@ -296,14 +247,15 @@ func BenchmarkUBFPerDegree(b *testing.B) {
 						}
 						sets[s] = coords
 					}
-					st := record(b)
+					var balls, checks int64
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						r := core.FitEmptyBall(sets[i%len(sets)], 0, 1.0, 1e-9)
-						st.BallsTested += int64(r.BallsTested)
-						st.NodesChecked += int64(r.NodesChecked)
+						balls += int64(r.BallsTested)
+						checks += int64(r.NodesChecked)
 					}
+					reportWork(b, balls, checks)
 				})
 			}
 		})
@@ -351,14 +303,15 @@ func BenchmarkUBFStageFig1(b *testing.B) {
 			for s := range sets {
 				sets[s] = fig1TwoHop(rand.New(rand.NewSource(int64(100+s))), tc.interior)
 			}
-			st := record(b)
+			var balls, checks int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				r := core.FitEmptyBall(sets[i%len(sets)], 0, 1.0, 1e-9)
-				st.BallsTested += int64(r.BallsTested)
-				st.NodesChecked += int64(r.NodesChecked)
+				balls += int64(r.BallsTested)
+				checks += int64(r.NodesChecked)
 			}
+			reportWork(b, balls, checks)
 		})
 	}
 }
@@ -375,7 +328,7 @@ func BenchmarkMDSLocalFrame(b *testing.B) {
 		d := pts[x].Dist(pts[y])
 		return d, d <= 1
 	}
-	record(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mds.Localize(len(pts), dist, mds.Options{SmacofIterations: 40}); err != nil {
@@ -388,7 +341,7 @@ func BenchmarkMDSLocalFrame(b *testing.B) {
 // bench network.
 func BenchmarkIFFFlood(b *testing.B) {
 	net, _, det, _ := benchFixtures(b)
-	record(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.FloodCount(net.G, det.UBF, 3); err != nil {
@@ -400,7 +353,7 @@ func BenchmarkIFFFlood(b *testing.B) {
 // BenchmarkGrouping measures boundary grouping by label propagation.
 func BenchmarkGrouping(b *testing.B) {
 	net, _, det, _ := benchFixtures(b)
-	record(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.LabelComponents(net.G, det.Boundary); err != nil {
@@ -419,7 +372,7 @@ func BenchmarkSurfaceConstruction(b *testing.B) {
 			largest = g
 		}
 	}
-	record(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mesh.Build(net.G, largest, mesh.Config{K: 3}); err != nil {
@@ -471,7 +424,6 @@ func sphereFixtures(b *testing.B) (*netgen.Network, []int, *mesh.Surface) {
 // the CSR/SPT kernel accelerates.
 func BenchmarkMeshSurface(b *testing.B) {
 	net, group, _ := sphereFixtures(b)
-	record(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -502,7 +454,6 @@ func BenchmarkCDMPaths(b *testing.B) {
 		b.Skip("no CDM edges on bench surface")
 	}
 	var buf []int
-	record(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -524,7 +475,7 @@ func BenchmarkGreedyRouting(b *testing.B) {
 	if len(lms) < 2 {
 		b.Skip("overlay too small")
 	}
-	record(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		from := lms[i%len(lms)]
@@ -542,7 +493,7 @@ func BenchmarkGreedyRouting(b *testing.B) {
 // construction (the simulation substrate itself).
 func BenchmarkNetworkGeneration(b *testing.B) {
 	sc := eval.Fig10().Scaled(benchScale)
-	record(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sc.Generate(); err != nil {
@@ -555,22 +506,24 @@ func BenchmarkNetworkGeneration(b *testing.B) {
 // localization substrate removed (the oracle ablation).
 func BenchmarkDetectTrueCoords(b *testing.B) {
 	net, _, _, _ := benchFixtures(b)
-	st := record(b)
+	var balls, checks int64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		det, err := core.Detect(net, nil, core.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		st.BallsTested += sumInts(det.BallsTested)
-		st.NodesChecked += sumInts(det.NodesChecked)
+		balls += sumInts(det.BallsTested)
+		checks += sumInts(det.NodesChecked)
 	}
+	reportWork(b, balls, checks)
 }
 
 // BenchmarkDegreeBaseline measures the ablation baseline detector.
 func BenchmarkDegreeBaseline(b *testing.B) {
 	net, _, _, _ := benchFixtures(b)
-	record(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.DegreeBaseline(net, core.DegreeBaselineConfig{}); err != nil {
@@ -642,10 +595,8 @@ func shardBenchFixture(b *testing.B) *netgen.Network {
 // BenchmarkServeDeltas is the boundaryd load smoke: a session held by the
 // HTTP server absorbs a sustained stream of single-delta batches (moves
 // over the fig1 bench network) through a real TCP listener. Beyond the
-// folded mean, the run records the observed p50 and p99 request latencies
-// as their own baseline stages (Ops=1, so ns_per_op IS the quantile),
-// putting tail-latency regressions of the incremental engine under the
-// bench-diff gate.
+// mean, the run reports the observed p50 and p99 request latencies
+// (p50-ms, p99-ms), the incremental engine's tail.
 func BenchmarkServeDeltas(b *testing.B) {
 	net, _, _, _ := benchFixtures(b)
 	ts := httptest.NewServer(serve.New(serve.Options{}).Handler())
@@ -672,7 +623,7 @@ func BenchmarkServeDeltas(b *testing.B) {
 	pos := net.Positions()
 	step := net.Radius * 0.3
 	lat := make([]time.Duration, 0, b.N)
-	record(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := i % len(pos)
@@ -696,8 +647,9 @@ func BenchmarkServeDeltas(b *testing.B) {
 	}
 	b.StopTimer()
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	benchRecorder.Record(bench.Stage{Name: "ServeDeltaP50", WallNS: lat[len(lat)/2].Nanoseconds(), Ops: 1})
-	benchRecorder.Record(bench.Stage{Name: "ServeDeltaP99", WallNS: lat[len(lat)*99/100].Nanoseconds(), Ops: 1})
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	b.ReportMetric(ms(lat[len(lat)/2]), "p50-ms")
+	b.ReportMetric(ms(lat[len(lat)*99/100]), "p99-ms")
 }
 
 // BenchmarkDetectSharded measures the sharded detection engine at scale:
@@ -718,16 +670,18 @@ func BenchmarkDetectSharded(b *testing.B) {
 	}
 	for _, bc := range cases {
 		b.Run(bc.name, func(b *testing.B) {
-			st := record(b)
+			var balls, checks int64
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				det, err := core.Detect(net, nil, core.Config{Shards: bc.shards, Workers: bc.workers})
 				if err != nil {
 					b.Fatal(err)
 				}
-				st.BallsTested += sumInts(det.BallsTested)
-				st.NodesChecked += sumInts(det.NodesChecked)
+				balls += sumInts(det.BallsTested)
+				checks += sumInts(det.NodesChecked)
 			}
+			reportWork(b, balls, checks)
 		})
 	}
 }
@@ -835,12 +789,12 @@ func meshIncFixture(b *testing.B) []meshIncStep {
 // pre-engine server behaviour) or serving it through one warm
 // mesh.Incremental that repairs only invalidated groups. Both arms produce
 // bit-identical surfaces (TestMeshIncrementalDifferential); the ratio of
-// their ns_per_op is the per-delta speedup the engine buys and must stay
-// at or above 5x.
+// their ns/op measures the per-delta speedup the engine buys. Nothing
+// gates that ratio.
 func BenchmarkMeshIncremental(b *testing.B) {
 	steps := meshIncFixture(b)
 	b.Run("rebuild", func(b *testing.B) {
-		record(b)
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, st := range steps {
@@ -852,7 +806,7 @@ func BenchmarkMeshIncremental(b *testing.B) {
 		}
 	})
 	b.Run("engine", func(b *testing.B) {
-		record(b)
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			eng := mesh.NewIncremental(mesh.Config{K: 3})

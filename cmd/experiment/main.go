@@ -8,7 +8,7 @@
 //	experiment -run fig1g            # Fig. 1(g): efficiency vs. error
 //	experiment -run fig11a -scale 1  # Fig. 11(a): multi-scenario aggregate
 //	experiment -run all -scale 0.25  # everything, at reduced size
-//	experiment -run all -workers 4 -bench BENCH_run.json
+//	experiment -run all -workers 4
 //	experiment -run faults -async -trace trace.jsonl -pprof prof
 //	experiment -run detectors -scale 0.25  # cross-detector comparison table
 //	experiment -run fig1g -detector sv-enclosure
@@ -18,15 +18,12 @@
 // engine's worker pool (0 = one worker per CPU; results are identical at
 // any width), -out writes the tables as a JSON envelope, -trace records
 // every pipeline stage event and counter as JSONL (validated against the
-// schema on exit), and -pprof captures CPU/heap profiles. -bench
-// additionally writes each experiment's wall time (and, where the study
-// surfaces them, UBF work counters) as a machine-readable baseline in the
-// internal/bench format — the same schema `make bench` produces from the
-// benchmark suite.
+// schema on exit), and -pprof captures CPU/heap profiles. Each experiment
+// block is one labeled span on the trace.
 //
 // Recorded traces carry the protocol flight recorder (per-round message
 // accounting and node transitions); analyze them — convergence curves,
-// anomaly scan, trace/baseline diffs — with cmd/tracestat.
+// anomaly scan, trace diffs — with cmd/tracestat.
 package main
 
 import (
@@ -39,7 +36,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/eval"
@@ -58,7 +54,6 @@ type options struct {
 	Scale float64
 	K     int
 	CSV   string
-	Bench string
 	// Async executes the flooding phases on the asynchronous kernel —
 	// detection outcomes are identical by design; combined with faults
 	// (the -run faults sweep) this exercises the fully hardened path.
@@ -73,7 +68,6 @@ func main() {
 	flag.Float64Var(&opts.Scale, "scale", 1.0, "node-count scale factor (1.0 = paper size)")
 	flag.IntVar(&opts.K, "k", 3, "landmark spacing for mesh construction")
 	flag.StringVar(&opts.CSV, "csv", "", "directory to also write tables as CSV (optional)")
-	flag.StringVar(&opts.Bench, "bench", "", "file to write a machine-readable timing baseline (BENCH_<name>.json)")
 	flag.BoolVar(&opts.Async, "async", false, "run the flooding phases on the asynchronous kernel")
 	opts.Common.Register(flag.CommandLine)
 	flag.Parse()
@@ -130,19 +124,11 @@ func run(w io.Writer, opts options) error {
 		}
 		return def
 	}
-	var rec bench.Recorder
-	// timed wraps one experiment block, records its wall time as a
-	// baseline stage, and spans it on the trace.
+	// timed wraps one experiment block in a labeled span on the trace.
 	timed := func(name string, f func() error) error {
 		span := obs.StartLabeled(sess.Obs, obs.StageExperiment, name)
-		t0 := time.Now()
-		err := f()
-		span.End()
-		if err != nil {
-			return err
-		}
-		rec.Record(bench.Stage{Name: name, WallNS: time.Since(t0).Nanoseconds(), Ops: 1})
-		return nil
+		defer span.End()
+		return f()
 	}
 
 	wantAll := opts.Run == "all"
@@ -295,29 +281,25 @@ func run(w io.Writer, opts options) error {
 		}
 	}
 
-	// Theorem 1: per-node work vs. density. Recorded with the study's own
-	// work counters so baselines can diff balls/checks, not just time.
+	// Theorem 1: per-node work vs. density.
 	if want("thm1") {
-		span := obs.StartLabeled(sess.Obs, obs.StageExperiment, "thm1-complexity")
-		t0 := time.Now()
-		makeNet := eval.Fig10().Scaled(opts.Scale)
-		points, err := eval.RunComplexityStudy(func(deg float64) (*netgen.Network, error) {
-			sc := makeNet
-			sc.TargetDegree = deg
-			return sc.Generate()
-		}, []float64{8, 12, 18.5, 25, 35}, detectCfg)
-		span.End()
+		err := timed("thm1-complexity", func() error {
+			makeNet := eval.Fig10().Scaled(opts.Scale)
+			points, err := eval.RunComplexityStudy(func(deg float64) (*netgen.Network, error) {
+				sc := makeNet
+				sc.TargetDegree = deg
+				return sc.Generate()
+			}, []float64{8, 12, 18.5, 25, 35}, detectCfg)
+			if err != nil {
+				return err
+			}
+			h, rows := eval.ComplexityRows(points)
+			add("thm1", "Theorem 1: UBF per-node work vs. nodal degree (balls ~ ρ², checks ~ ρ³)", h, rows)
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		st := bench.Stage{Name: "thm1-complexity", WallNS: time.Since(t0).Nanoseconds(), Ops: 1}
-		for _, p := range points {
-			st.BallsTested += p.TotalBalls
-			st.NodesChecked += p.TotalChecks
-		}
-		rec.Record(st)
-		h, rows := eval.ComplexityRows(points)
-		add("thm1", "Theorem 1: UBF per-node work vs. nodal degree (balls ~ ρ², checks ~ ρ³)", h, rows)
 	}
 
 	// Localization-quality study: the mechanism behind Fig. 1(g)'s
@@ -458,15 +440,6 @@ func run(w io.Writer, opts options) error {
 			return err
 		}
 		fmt.Fprintf(w, "\nwrote results envelope to %s\n", opts.Out)
-	}
-	if opts.Bench != "" {
-		name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(opts.Bench), "BENCH_"), ".json")
-		bl := bench.New(name, time.Now().UTC().Format(time.RFC3339), opts.Scale)
-		bl.Stages = rec.Stages()
-		if err := bl.WriteFile(opts.Bench); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nwrote timing baseline to %s\n", opts.Bench)
 	}
 
 	// Close the session before reporting: this stops the profiles,

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/cli"
 	"repro/internal/obs"
 )
@@ -115,58 +114,27 @@ func TestRunFaultsTiny(t *testing.T) {
 	}
 }
 
-// TestRunWritesBenchBaseline: -bench writes a loadable baseline whose thm1
-// stage carries the study's UBF work counters, and -workers does not change
-// the printed tables.
-func TestRunWritesBenchBaseline(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_thm1.json")
-	var buf bytes.Buffer
-	o := opt("thm1", 0.05, 3)
-	o.Workers = 2
-	o.Bench = path
-	if err := run(&buf, o); err != nil {
-		t.Fatal(err)
-	}
-	bl, err := bench.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bl.Name != "thm1" {
-		t.Errorf("baseline name %q, want thm1", bl.Name)
-	}
-	var thm1 *bench.Stage
-	for i := range bl.Stages {
-		if bl.Stages[i].Name == "thm1-complexity" {
-			thm1 = &bl.Stages[i]
+// TestRunTablesWorkerInvariant: -workers does not change the printed
+// tables.
+func TestRunTablesWorkerInvariant(t *testing.T) {
+	tables := func(workers int) string {
+		var buf bytes.Buffer
+		o := opt("thm1", 0.05, 3)
+		o.Workers = workers
+		if err := run(&buf, o); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if thm1 == nil {
-		t.Fatalf("no thm1-complexity stage in %+v", bl.Stages)
-	}
-	if thm1.WallNS <= 0 || thm1.BallsTested <= 0 || thm1.NodesChecked <= 0 {
-		t.Errorf("thm1 stage missing measurements: %+v", thm1)
-	}
-
-	var serial bytes.Buffer
-	so := opt("thm1", 0.05, 3)
-	so.Workers = 1
-	if err := run(&serial, so); err != nil {
-		t.Fatal(err)
-	}
-	stripDone := func(s string) string {
-		lines := strings.Split(s, "\n")
 		var kept []string
-		for _, l := range lines {
-			if l == "" || strings.HasPrefix(l, "done in ") || strings.HasPrefix(l, "wrote timing baseline") {
+		for _, l := range strings.Split(buf.String(), "\n") {
+			if l == "" || strings.HasPrefix(l, "done in ") {
 				continue
 			}
 			kept = append(kept, l)
 		}
 		return strings.Join(kept, "\n")
 	}
-	if stripDone(serial.String()) != stripDone(buf.String()) {
-		t.Errorf("tables differ between -workers 1 and -workers 2:\n%s\n---\n%s",
-			serial.String(), buf.String())
+	if serial, wide := tables(1), tables(2); serial != wide {
+		t.Errorf("tables differ between -workers 1 and -workers 2:\n%s\n---\n%s", serial, wide)
 	}
 }
 

@@ -1,13 +1,11 @@
-// Command tracestat analyzes flight-recorder traces and benchmark
-// baselines: convergence curves, anomaly detection, and tolerance-gated
+// Command tracestat analyzes flight-recorder traces and FTDC metric
+// captures: convergence curves, anomaly detection, and tolerance-gated
 // diffs (internal/obs/analyze).
 //
 // Usage:
 //
 //	tracestat -trace run.jsonl                     # validate + curves + anomalies
 //	tracestat -trace new.jsonl -against old.jsonl  # diff two traces
-//	tracestat -baseline BENCH_A.json -against BENCH_B.json  # diff two baselines
-//	tracestat -baseline BENCH_A.json               # summarize one baseline
 //	tracestat -ftdc capdir                         # decode an FTDC capture ring
 //	tracestat -ftdc new_dir -against old_dir       # diff two captures
 //
@@ -20,8 +18,7 @@
 // Exit status: 0 when clean, 1 when the diff found a regression (or, with
 // -fail-on-anomaly, when the trace shows an anomaly), 2 on usage or I/O
 // errors. -out writes the full report as a JSON envelope (internal/cli
-// framing, tool "tracestat"). Baselines recorded on different hosts are
-// refused unless -allow-cross-host is set.
+// framing, tool "tracestat").
 //
 // This command reads traces, so it registers its own flags instead of the
 // shared cli.Common block (whose -trace means "write a trace").
@@ -37,7 +34,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/cli"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
@@ -46,10 +42,9 @@ import (
 
 // options collects one invocation's parameters.
 type options struct {
-	Trace    string
-	Baseline string
-	Against  string
-	Out      string
+	Trace   string
+	Against string
+	Out     string
 
 	FTDC       string
 	MinSamples int
@@ -59,18 +54,12 @@ type options struct {
 	TolRound int
 	TolWall  float64
 
-	TolNS     float64
-	TolAllocs float64
-	TolWork   float64
-
-	AllowCrossHost bool
-	FailOnAnomaly  bool
+	FailOnAnomaly bool
 }
 
 func registerFlags(fs *flag.FlagSet, opts *options) {
 	fs.StringVar(&opts.Trace, "trace", "", "JSONL flight-recorder trace to analyze (input)")
-	fs.StringVar(&opts.Baseline, "baseline", "", "BENCH_*.json baseline to analyze (input)")
-	fs.StringVar(&opts.Against, "against", "", "second trace or baseline to diff against (same kind as the first input)")
+	fs.StringVar(&opts.Against, "against", "", "second trace or capture to diff against (same kind as the first input)")
 	fs.StringVar(&opts.Out, "out", "", "write the report as a JSON envelope to this path")
 	fs.StringVar(&opts.FTDC, "ftdc", "", "FTDC capture directory to analyze (input; -against diffs a second directory)")
 	fs.IntVar(&opts.MinSamples, "min-samples", 0, "ftdc: fail unless the capture holds at least this many samples")
@@ -78,10 +67,6 @@ func registerFlags(fs *flag.FlagSet, opts *options) {
 	fs.Float64Var(&opts.TolCount, "tol-count", 0, "trace diff: allowed fractional drift per counter total (0 = exact)")
 	fs.IntVar(&opts.TolRound, "tol-rounds", 0, "trace diff: allowed absolute drift per stage round count")
 	fs.Float64Var(&opts.TolWall, "tol-wall", -1, "trace diff: allowed fractional wall-time drift per stage (negative = ignore wall time)")
-	fs.Float64Var(&opts.TolNS, "tol-ns", 0.25, "baseline diff: allowed fractional ns/op increase per stage")
-	fs.Float64Var(&opts.TolAllocs, "tol-allocs", 0.10, "baseline diff: allowed fractional allocs/op increase per stage")
-	fs.Float64Var(&opts.TolWork, "tol-work", 0, "baseline diff: allowed fractional drift of the deterministic work counters")
-	fs.BoolVar(&opts.AllowCrossHost, "allow-cross-host", false, "permit diffing baselines recorded on different hosts")
 	fs.BoolVar(&opts.FailOnAnomaly, "fail-on-anomaly", false, "exit nonzero when a single-trace analysis finds anomalies")
 }
 
@@ -112,7 +97,6 @@ type report struct {
 	Curves    []analyze.Curve   `json:"curves,omitempty"`
 	Anomalies []analyze.Anomaly `json:"anomalies,omitempty"`
 	Findings  []analyze.Finding `json:"findings,omitempty"`
-	Stages    []bench.Stage     `json:"stages,omitempty"`
 	FTDC      *ftdcReport       `json:"ftdc,omitempty"`
 }
 
@@ -125,15 +109,9 @@ type ftdcReport struct {
 }
 
 func run(w io.Writer, opts options) error {
-	inputs := 0
-	for _, set := range []bool{opts.Trace != "", opts.Baseline != "", opts.FTDC != ""} {
-		if set {
-			inputs++
-		}
-	}
 	switch {
-	case inputs > 1:
-		return fmt.Errorf("pass exactly one of -trace, -baseline, -ftdc")
+	case opts.Trace != "" && opts.FTDC != "":
+		return fmt.Errorf("pass exactly one of -trace, -ftdc")
 	case opts.FTDC != "" && opts.Against == "":
 		return analyzeFTDC(w, opts)
 	case opts.FTDC != "":
@@ -142,12 +120,8 @@ func run(w io.Writer, opts options) error {
 		return analyzeTrace(w, opts)
 	case opts.Trace != "":
 		return diffTraces(w, opts)
-	case opts.Baseline != "" && opts.Against == "":
-		return summarizeBaseline(w, opts)
-	case opts.Baseline != "":
-		return diffBaselines(w, opts)
 	default:
-		return fmt.Errorf("nothing to do: pass -trace, -baseline or -ftdc (see -h)")
+		return fmt.Errorf("nothing to do: pass -trace or -ftdc (see -h)")
 	}
 }
 
@@ -170,7 +144,7 @@ func writeReport(opts options, rep report) error {
 		return nil
 	}
 	env := cli.Envelope{Tool: "tracestat", Params: map[string]any{
-		"trace": opts.Trace, "baseline": opts.Baseline, "against": opts.Against,
+		"trace": opts.Trace, "against": opts.Against,
 	}, Data: rep}
 	return cli.WriteEnvelope(opts.Out, env)
 }
@@ -323,29 +297,6 @@ func diffTraces(w io.Writer, opts options) error {
 		fmt.Sprintf("trace diff %s -> %s", opts.Against, opts.Trace))
 }
 
-// diffBaselines compares -against (old) to -baseline (new).
-func diffBaselines(w io.Writer, opts options) error {
-	oldB, err := bench.Load(opts.Against)
-	if err != nil {
-		return err
-	}
-	newB, err := bench.Load(opts.Baseline)
-	if err != nil {
-		return err
-	}
-	rep, err := analyze.DiffBaselines(oldB, newB, analyze.BenchTolerances{
-		NSFrac:         opts.TolNS,
-		AllocFrac:      opts.TolAllocs,
-		WorkFrac:       opts.TolWork,
-		AllowCrossHost: opts.AllowCrossHost,
-	})
-	if err != nil {
-		return err
-	}
-	return finishDiff(w, opts, "bench-diff", rep,
-		fmt.Sprintf("baseline diff %s (%s) -> %s (%s)", opts.Against, oldB.Name, opts.Baseline, newB.Name))
-}
-
 // finishDiff renders a diff report, writes the envelope, and converts
 // regressions into the exit-1 sentinel.
 func finishDiff(w io.Writer, opts options, mode string, rep analyze.Report, header string) error {
@@ -355,12 +306,8 @@ func finishDiff(w io.Writer, opts options, mode string, rep analyze.Report, head
 		if f.Regressed {
 			mark = "FAIL"
 		}
-		line := fmt.Sprintf("  %s %-32s old=%.6g new=%.6g delta=%+.6g (allowed %.6g)",
+		fmt.Fprintf(w, "  %s %-32s old=%.6g new=%.6g delta=%+.6g (allowed %.6g)\n",
 			mark, f.Metric, f.Old, f.New, f.Delta, f.Allowed)
-		if f.Note != "" {
-			line += " — " + f.Note
-		}
-		fmt.Fprintln(w, line)
 	}
 	regs := rep.Regressions()
 	if len(regs) == 0 {
@@ -375,22 +322,4 @@ func finishDiff(w io.Writer, opts options, mode string, rep analyze.Report, head
 		return fmt.Errorf("%w: %d metric(s) out of tolerance", errFindings, len(regs))
 	}
 	return nil
-}
-
-// summarizeBaseline prints one baseline's stages.
-func summarizeBaseline(w io.Writer, opts options) error {
-	b, err := bench.Load(opts.Baseline)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%s: %s (%s, GOMAXPROCS=%d, host %s, scale %g)\n",
-		opts.Baseline, b.Name, b.GoVersion, b.GOMAXPROCS, b.Host, b.Scale)
-	for _, s := range b.Stages {
-		fmt.Fprintf(w, "  %-36s %12.0f ns/op  ops=%d", s.Name, s.NSPerOp, s.Ops)
-		if s.Allocs != 0 {
-			fmt.Fprintf(w, "  allocs/op=%d", s.Allocs)
-		}
-		fmt.Fprintln(w)
-	}
-	return writeReport(opts, report{Mode: "baseline", Stages: b.Stages})
 }

@@ -10,26 +10,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/cli"
 	"repro/internal/obs"
 	"repro/internal/obs/ftdc"
 )
-
-// writeBaseline stores a one-stage baseline for the diff modes.
-func writeBaseline(t *testing.T, dir, name string, ns float64, host bench.Host) string {
-	t.Helper()
-	b := &bench.Baseline{
-		Name: name, CreatedAt: "2026-08-05T00:00:00Z",
-		GoVersion: "go1.22", GOMAXPROCS: 1, Host: host,
-		Stages: []bench.Stage{{Name: "ubf", WallNS: int64(ns) * 4, Ops: 4, NSPerOp: ns, BallsTested: 99}},
-	}
-	path := filepath.Join(dir, "BENCH_"+name+".json")
-	if err := b.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
 
 // writeTrace records a tiny valid trace to a file.
 func writeTrace(t *testing.T, dir, name string, msgs int64) string {
@@ -47,50 +31,6 @@ func writeTrace(t *testing.T, dir, name string, msgs int64) string {
 		t.Fatal(err)
 	}
 	return path
-}
-
-// TestBaselineDiffExitContract is the gate's acceptance criterion: an
-// identical baseline pair diffs clean (exit 0), an injected regression
-// returns the findings sentinel (exit 1), and a cross-host pair is
-// refused as a usage error (exit 2) unless overridden.
-func TestBaselineDiffExitContract(t *testing.T) {
-	dir := t.TempDir()
-	host := bench.Host{CPUModel: "test-cpu", NumCPU: 2, OS: "linux", Arch: "amd64"}
-	oldP := writeBaseline(t, dir, "old", 1000, host)
-	sameP := writeBaseline(t, dir, "same", 1000, host)
-	slowP := writeBaseline(t, dir, "slow", 2000, host)
-	otherHostP := writeBaseline(t, dir, "other", 1000,
-		bench.Host{CPUModel: "other-cpu", NumCPU: 8, OS: "linux", Arch: "arm64"})
-
-	base := options{TolNS: 0.25, TolAllocs: 0.10, TolWall: -1}
-
-	var out bytes.Buffer
-	opts := base
-	opts.Baseline, opts.Against = sameP, oldP
-	if err := run(&out, opts); err != nil {
-		t.Fatalf("identical pair: %v", err)
-	}
-	if !strings.Contains(out.String(), "no regressions") {
-		t.Errorf("identical-pair report: %q", out.String())
-	}
-
-	opts = base
-	opts.Baseline, opts.Against = slowP, oldP
-	err := run(reset(&out), opts)
-	if !errors.Is(err, errFindings) {
-		t.Fatalf("injected regression: err = %v, want errFindings", err)
-	}
-
-	opts = base
-	opts.Baseline, opts.Against = otherHostP, oldP
-	err = run(reset(&out), opts)
-	if err == nil || errors.Is(err, errFindings) {
-		t.Fatalf("cross-host pair: err = %v, want a usage refusal", err)
-	}
-	opts.AllowCrossHost = true
-	if err := run(reset(&out), opts); err != nil {
-		t.Errorf("cross-host override: %v", err)
-	}
 }
 
 // reset clears and returns the buffer, keeping the call sites short.
@@ -181,14 +121,18 @@ func TestUsageErrors(t *testing.T) {
 	var out bytes.Buffer
 	for _, opts := range []options{
 		{},
-		{Trace: "x.jsonl", Baseline: "y.json"},
 		{Trace: "/nonexistent/trace.jsonl"},
-		{Baseline: "/nonexistent/BENCH.json"},
+		{FTDC: "/nonexistent/capdir"},
 	} {
 		err := run(&out, opts)
 		if err == nil || errors.Is(err, errFindings) {
 			t.Errorf("opts %+v: err = %v, want usage error", opts, err)
 		}
+	}
+	// Both inputs at once is ambiguous.
+	err := run(&out, options{Trace: "x.jsonl", FTDC: "capdir"})
+	if want := "pass exactly one of -trace, -ftdc"; err == nil || err.Error() != want {
+		t.Errorf("trace+ftdc: err = %v, want %q", err, want)
 	}
 }
 

@@ -1,29 +1,16 @@
-// Package bench defines the machine-readable benchmark baseline format
-// (BENCH_<name>.json) shared by `go test -bench` (via the BENCH_JSON
-// environment variable) and cmd/experiment's -bench flag. A baseline is a
-// named set of stages, each carrying wall time, iteration count, and the
-// pipeline's own work counters (balls tested, nodes checked) plus
-// allocation figures — enough to compare two commits stage by stage
-// without re-parsing human-oriented benchmark output.
+// Package bench stamps benchmark output with the machine it was measured
+// on. Wall-time and allocation numbers are only comparable between runs on
+// the same hardware, so perfbench records the host next to its metrics.
 package bench
 
 import (
 	"bufio"
-	"encoding/json"
-	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
-	"sync"
 )
 
-// Host describes the machine a baseline was measured on. Wall-time and
-// allocation numbers are only comparable between runs on the same
-// hardware, so diff tooling (cmd/tracestat) refuses to compare baselines
-// whose hosts differ unless explicitly overridden. The zero value means
-// "unrecorded" (baselines written before this field existed) and is
-// never treated as a mismatch.
+// Host describes the machine a measurement was taken on.
 type Host struct {
 	// CPUModel is the CPU's self-reported model name ("" when the
 	// platform doesn't expose one).
@@ -33,24 +20,6 @@ type Host struct {
 	// OS and Arch are runtime.GOOS / runtime.GOARCH.
 	OS   string `json:"os,omitempty"`
 	Arch string `json:"arch,omitempty"`
-}
-
-// IsZero reports whether no host information was recorded.
-func (h Host) IsZero() bool { return h == Host{} }
-
-// Equal reports whether two recorded hosts describe the same machine.
-func (h Host) Equal(o Host) bool { return h == o }
-
-// String renders the host for diff-refusal messages.
-func (h Host) String() string {
-	if h.IsZero() {
-		return "unrecorded"
-	}
-	cpu := h.CPUModel
-	if cpu == "" {
-		cpu = "unknown cpu"
-	}
-	return fmt.Sprintf("%s × %d (%s/%s)", cpu, h.NumCPU, h.OS, h.Arch)
 }
 
 // CurrentHost describes the machine this process runs on. The CPU model
@@ -83,164 +52,4 @@ func cpuModel() string {
 		}
 	}
 	return ""
-}
-
-// Stage is one timed pipeline stage or benchmark case.
-type Stage struct {
-	// Name identifies the stage ("ubf", "mds", "iff", ...) or the
-	// benchmark case ("UBFPerDegree/degree18").
-	Name string `json:"name"`
-	// WallNS is the total wall-clock time in nanoseconds over Ops runs.
-	WallNS int64 `json:"wall_ns"`
-	// Ops is how many times the stage ran; NSPerOp = WallNS/Ops.
-	Ops int64 `json:"ops"`
-	// NSPerOp is the per-run wall time, precomputed for readers.
-	NSPerOp float64 `json:"ns_per_op"`
-	// BallsTested and NodesChecked carry the UBF work counters summed
-	// over the stage's runs; zero for stages without them.
-	BallsTested  int64 `json:"balls_tested,omitempty"`
-	NodesChecked int64 `json:"nodes_checked,omitempty"`
-	// Allocs and Bytes are per-op heap figures when measured (from
-	// testing.B); zero when not collected.
-	Allocs int64 `json:"allocs_per_op,omitempty"`
-	Bytes  int64 `json:"bytes_per_op,omitempty"`
-}
-
-// Baseline is one benchmark run's machine-readable record.
-type Baseline struct {
-	// Name labels the run (the date for `make bench`, a free-form tag
-	// otherwise).
-	Name string `json:"name"`
-	// CreatedAt is an RFC 3339 timestamp supplied by the caller.
-	CreatedAt string `json:"created_at"`
-	// GoVersion and GOMAXPROCS describe the environment.
-	GoVersion  string `json:"go_version"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Host pins the measuring machine; the zero value means a baseline
-	// written before host stamping existed.
-	Host Host `json:"host,omitempty"`
-	// Scale records the deployment scale factor the stages ran at.
-	Scale float64 `json:"scale,omitempty"`
-	// Stages is sorted by name on write for stable diffs.
-	Stages []Stage `json:"stages"`
-}
-
-// New returns a Baseline stamped with the current environment.
-func New(name, createdAt string, scale float64) *Baseline {
-	return &Baseline{
-		Name:       name,
-		CreatedAt:  createdAt,
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Host:       CurrentHost(),
-		Scale:      scale,
-	}
-}
-
-// Validate checks structural invariants: a name, no duplicate or unnamed
-// stages, and consistent per-op figures.
-func (b *Baseline) Validate() error {
-	if b.Name == "" {
-		return fmt.Errorf("bench: baseline has no name")
-	}
-	seen := make(map[string]bool, len(b.Stages))
-	for _, s := range b.Stages {
-		if s.Name == "" {
-			return fmt.Errorf("bench: unnamed stage")
-		}
-		if seen[s.Name] {
-			return fmt.Errorf("bench: duplicate stage %q", s.Name)
-		}
-		seen[s.Name] = true
-		if s.Ops < 0 || s.WallNS < 0 {
-			return fmt.Errorf("bench: stage %q has negative counters", s.Name)
-		}
-		if s.Ops > 0 {
-			want := float64(s.WallNS) / float64(s.Ops)
-			if diff := s.NSPerOp - want; diff > 1 || diff < -1 {
-				return fmt.Errorf("bench: stage %q ns_per_op %.1f inconsistent with wall_ns/ops %.1f",
-					s.Name, s.NSPerOp, want)
-			}
-		}
-	}
-	return nil
-}
-
-// WriteFile validates and writes the baseline as indented JSON, stages
-// sorted by name.
-func (b *Baseline) WriteFile(path string) error {
-	sort.Slice(b.Stages, func(i, j int) bool { return b.Stages[i].Name < b.Stages[j].Name })
-	if err := b.Validate(); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Load reads and validates a baseline file.
-func Load(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", path, err)
-	}
-	if err := b.Validate(); err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", path, err)
-	}
-	return &b, nil
-}
-
-// Recorder accumulates stages concurrently. Stages recorded under the same
-// name are summed (wall time, ops, counters), so per-shard measurements
-// fold into one line.
-type Recorder struct {
-	mu     sync.Mutex
-	stages map[string]*Stage
-}
-
-// Record folds one measurement into the named stage.
-func (r *Recorder) Record(s Stage) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.stages == nil {
-		r.stages = make(map[string]*Stage)
-	}
-	acc, ok := r.stages[s.Name]
-	if !ok {
-		acc = &Stage{Name: s.Name}
-		r.stages[s.Name] = acc
-	}
-	acc.WallNS += s.WallNS
-	acc.Ops += s.Ops
-	acc.BallsTested += s.BallsTested
-	acc.NodesChecked += s.NodesChecked
-	// Per-op alloc figures don't sum across shards; keep the latest
-	// non-zero observation.
-	if s.Allocs != 0 {
-		acc.Allocs = s.Allocs
-	}
-	if s.Bytes != 0 {
-		acc.Bytes = s.Bytes
-	}
-	if acc.Ops > 0 {
-		acc.NSPerOp = float64(acc.WallNS) / float64(acc.Ops)
-	}
-}
-
-// Stages returns the accumulated stages sorted by name.
-func (r *Recorder) Stages() []Stage {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Stage, 0, len(r.stages))
-	for _, s := range r.stages {
-		out = append(out, *s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/netgen"
 	"repro/internal/obs"
+	"repro/internal/ranging"
 	"repro/internal/shapes"
 )
 
@@ -73,6 +74,48 @@ func TestFig1DetectWorkBound(t *testing.T) {
 		t.Errorf("detection allocated %d bytes, want <= %d", alloc, maxBytes)
 	} else {
 		t.Logf("detection allocated %d bytes (cap %d)", alloc, maxBytes)
+	}
+}
+
+// TestFig1MDSDetectWorkBound is the MDS counterpart of
+// TestFig1DetectWorkBound: detection on the Fig. 1 network with 20%
+// uniform ranging error (seed 1), so every node decides on its own MDS
+// frame. It runs at one and two workers; both must stay under the same
+// caps, since UBF's counters do not depend on the worker count.
+//
+//   - UBF's balls tested and nodes checked are capped at their current
+//     values; a PR that lowers them lowers the caps.
+//   - Detection allocates about 159 MB here, nearly all of it in the
+//     frames. The cap sits about 10% above that.
+//
+// IFF and grouping counts are not pinned here: under MDS they follow the
+// frame verdicts, and their contract is set with the fault-free evaluators.
+func TestFig1MDSDetectWorkBound(t *testing.T) {
+	net := fig1Network(t)
+	meas := net.Measure(ranging.UniformAdditive{Fraction: 0.2}, 1)
+	for _, workers := range []int{1, 2} {
+		m := &obs.Mem{}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := DetectContext(context.Background(), m, net, meas, Config{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		capped := []struct {
+			name     string
+			got, max int64
+		}{
+			{"UBF balls_tested", m.Total(obs.StageUBF, obs.CtrBallsTested), 962105},
+			{"UBF nodes_checked", m.Total(obs.StageUBF, obs.CtrNodesChecked), 4455756},
+			{"detection bytes", int64(after.TotalAlloc - before.TotalAlloc), 176_000_000},
+		}
+		for _, c := range capped {
+			if c.got > c.max {
+				t.Errorf("workers=%d: %s = %d, want <= %d", workers, c.name, c.got, c.max)
+			} else {
+				t.Logf("workers=%d: %s = %d (cap %d)", workers, c.name, c.got, c.max)
+			}
+		}
 	}
 }
 

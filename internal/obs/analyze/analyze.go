@@ -1,7 +1,7 @@
-// Package analyze turns flight-recorder traces (internal/obs JSONL) and
-// benchmark baselines (internal/bench) into convergence curves, anomaly
-// reports, and tolerance-gated diffs — the read side of the repository's
-// observability layer, behind cmd/tracestat and `make bench-diff`.
+// Package analyze turns flight-recorder traces (internal/obs JSONL) into
+// convergence curves, anomaly reports, and tolerance-gated diffs — the
+// read side of the repository's observability layer, behind
+// cmd/tracestat.
 //
 // The paper's correctness story is a convergence story: UBF claims must
 // survive IFF's TTL-bounded flood, grouping floods must quiesce, and the
@@ -9,7 +9,7 @@
 // records those dynamics round by round; this package asks the three
 // questions that matter of it — did it converge (Convergence), did
 // anything pathological happen (FindAnomalies), and did it change since
-// last time (DiffTraces/DiffBaselines).
+// last time (DiffTraces).
 package analyze
 
 import (
@@ -18,7 +18,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/bench"
 	"repro/internal/obs"
 )
 
@@ -188,7 +187,7 @@ func FindAnomalies(tr *Trace) []Anomaly {
 // Finding is one compared metric in a diff report.
 type Finding struct {
 	// Metric names what was compared ("iff/msgs_sent", "rounds/grouping",
-	// "ns_per_op/ubf", ...).
+	// "wall_ns/ubf", ...).
 	Metric string `json:"metric"`
 	// Old and New are the two sides' values; Delta is New-Old.
 	Old   float64 `json:"old"`
@@ -199,8 +198,6 @@ type Finding struct {
 	Allowed float64 `json:"allowed"`
 	// Regressed marks findings outside tolerance.
 	Regressed bool `json:"regressed"`
-	// Note carries context ("stage missing in new baseline").
-	Note string `json:"note,omitempty"`
 }
 
 // Report is a diff's full finding list, regressions and passes alike.
@@ -332,116 +329,4 @@ func DiffTraces(a, b obs.TraceSummary, tol Tolerances) Report {
 		}
 	}
 	return rep
-}
-
-// BenchTolerances bounds acceptable drift between two bench baselines.
-type BenchTolerances struct {
-	// NSFrac is the allowed fractional ns/op increase per stage.
-	NSFrac float64
-	// AllocFrac is the allowed fractional allocs/op increase per stage.
-	AllocFrac float64
-	// WorkFrac is the allowed fractional change of the deterministic work
-	// counters (balls tested, nodes checked). Zero demands exactness.
-	WorkFrac float64
-	// AllowCrossHost permits comparing baselines recorded on different
-	// machines (the numbers are then only weakly meaningful).
-	AllowCrossHost bool
-}
-
-// DefaultBenchTolerances matches the `make bench-diff` gate: 25% wall
-// slack for a noisy single run, 10% alloc slack, and 2% per-op drift on
-// the work counters (cases that average over a pool of pre-generated
-// instances see a different instance mix when the iteration count is not
-// a pool multiple, and numeric-substrate changes move the counters at
-// rounding level).
-func DefaultBenchTolerances() BenchTolerances {
-	return BenchTolerances{NSFrac: 0.25, AllocFrac: 0.10, WorkFrac: 0.02}
-}
-
-// ErrCrossHost is the refusal DiffBaselines returns (wrapped with both
-// host strings) when the baselines were measured on different machines.
-var ErrCrossHost = fmt.Errorf("analyze: baselines were measured on different hosts")
-
-// DiffBaselines compares two bench baselines stage by stage. Timing
-// metrics (ns/op, allocs/op) regress only when they increase beyond
-// tolerance — getting faster passes; the deterministic work counters
-// regress on any drift beyond WorkFrac. A stage present in old but
-// missing in new is a regression (coverage was lost); a brand-new stage
-// is reported but passes. Baselines recorded on different hosts are
-// refused unless AllowCrossHost is set; baselines without host metadata
-// (written before host stamping) are compared without the check.
-func DiffBaselines(oldB, newB *bench.Baseline, tol BenchTolerances) (Report, error) {
-	var rep Report
-	if !tol.AllowCrossHost && !oldB.Host.IsZero() && !newB.Host.IsZero() && !oldB.Host.Equal(newB.Host) {
-		return rep, fmt.Errorf("%w: %q (%s) vs %q (%s); rerun on one machine or pass -allow-cross-host",
-			ErrCrossHost, oldB.Name, oldB.Host, newB.Name, newB.Host)
-	}
-
-	newStages := make(map[string]bench.Stage, len(newB.Stages))
-	for _, s := range newB.Stages {
-		newStages[s.Name] = s
-	}
-	seen := make(map[string]bool, len(oldB.Stages))
-	directional := func(stage, metric string, oldV, newV, frac float64) Finding {
-		return Finding{
-			Metric: metric + "/" + stage, Old: oldV, New: newV, Delta: newV - oldV,
-			Allowed:   frac,
-			Regressed: newV > oldV && fracDelta(oldV, newV) > frac,
-		}
-	}
-	for _, o := range oldB.Stages {
-		seen[o.Name] = true
-		n, ok := newStages[o.Name]
-		if !ok {
-			rep.Findings = append(rep.Findings, Finding{
-				Metric: "stage/" + o.Name, Old: 1, New: 0, Delta: -1,
-				Regressed: true, Note: "stage missing in new baseline",
-			})
-			continue
-		}
-		rep.Findings = append(rep.Findings, directional(o.Name, "ns_per_op", o.NSPerOp, n.NSPerOp, tol.NSFrac))
-		if o.Allocs != 0 || n.Allocs != 0 {
-			rep.Findings = append(rep.Findings, directional(o.Name, "allocs_per_op", float64(o.Allocs), float64(n.Allocs), tol.AllocFrac))
-		}
-		for _, w := range []struct {
-			metric     string
-			oldV, newV int64
-		}{
-			{"balls_tested", o.BallsTested, n.BallsTested},
-			{"nodes_checked", o.NodesChecked, n.NodesChecked},
-		} {
-			if w.oldV == 0 && w.newV == 0 {
-				continue
-			}
-			// Work counters are totals accumulated over every timed
-			// iteration, and the two recordings rarely agree on the
-			// iteration count — compare per-op averages, not raw sums.
-			oldV, newV := float64(w.oldV), float64(w.newV)
-			if o.Ops > 0 {
-				oldV /= float64(o.Ops)
-			}
-			if n.Ops > 0 {
-				newV /= float64(n.Ops)
-			}
-			rep.Findings = append(rep.Findings, Finding{
-				Metric: w.metric + "/" + o.Name, Old: oldV, New: newV, Delta: newV - oldV,
-				Allowed:   tol.WorkFrac,
-				Regressed: fracDelta(oldV, newV) > tol.WorkFrac,
-			})
-		}
-	}
-	var added []string
-	for name := range newStages {
-		if !seen[name] {
-			added = append(added, name)
-		}
-	}
-	sort.Strings(added)
-	for _, name := range added {
-		rep.Findings = append(rep.Findings, Finding{
-			Metric: "stage/" + name, Old: 0, New: 1, Delta: 1,
-			Note: "new stage (no old measurement)",
-		})
-	}
-	return rep, nil
 }

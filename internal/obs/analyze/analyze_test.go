@@ -2,11 +2,9 @@ package analyze
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -188,135 +186,5 @@ func TestDiffTracesIdenticalAndDrifted(t *testing.T) {
 	rep = DiffTraces(sum(100, 7), sum(60, 7), Tolerances{CounterFrac: 0.2, RoundSlack: 1, WallFrac: -1})
 	if len(rep.Regressions()) == 0 {
 		t.Error("symmetric counter drift (decrease) not flagged")
-	}
-}
-
-func baselineWith(name string, ns float64, allocs, balls int64) *bench.Baseline {
-	return &bench.Baseline{
-		Name: name,
-		Stages: []bench.Stage{{
-			Name: "ubf", WallNS: int64(ns) * 10, Ops: 10, NSPerOp: ns,
-			Allocs: allocs, BallsTested: balls,
-		}},
-	}
-}
-
-func TestDiffBaselinesIdenticalPasses(t *testing.T) {
-	rep, err := DiffBaselines(baselineWith("a", 1000, 5, 42), baselineWith("b", 1000, 5, 42), BenchTolerances{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs := rep.Regressions(); len(regs) != 0 {
-		t.Errorf("identical baselines regressed: %+v", regs)
-	}
-}
-
-func TestDiffBaselinesInjectedRegression(t *testing.T) {
-	rep, err := DiffBaselines(baselineWith("a", 1000, 5, 42), baselineWith("b", 1500, 5, 42), DefaultBenchTolerances())
-	if err != nil {
-		t.Fatal(err)
-	}
-	regs := rep.Regressions()
-	if len(regs) != 1 || regs[0].Metric != "ns_per_op/ubf" {
-		t.Fatalf("regressions = %+v, want ns_per_op/ubf only", regs)
-	}
-}
-
-func TestDiffBaselinesImprovementPasses(t *testing.T) {
-	// Timing metrics are directional: getting faster or leaner is never a
-	// regression, however large the change.
-	rep, err := DiffBaselines(baselineWith("a", 1000, 5, 42), baselineWith("b", 100, 1, 42), BenchTolerances{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs := rep.Regressions(); len(regs) != 0 {
-		t.Errorf("improvement regressed: %+v", regs)
-	}
-}
-
-func TestDiffBaselinesWorkCounterDrift(t *testing.T) {
-	// Work-counter drift beyond the (tight) default tolerance — even
-	// downward — is a regression: the counters are deterministic up to the
-	// benchmark's instance mix.
-	rep, err := DiffBaselines(baselineWith("a", 1000, 5, 42), baselineWith("b", 1000, 5, 41), DefaultBenchTolerances())
-	if err != nil {
-		t.Fatal(err)
-	}
-	regs := rep.Regressions()
-	if len(regs) != 1 || regs[0].Metric != "balls_tested/ubf" {
-		t.Fatalf("regressions = %+v, want balls_tested/ubf only", regs)
-	}
-}
-
-func TestDiffBaselinesWorkCountersPerOp(t *testing.T) {
-	// Counters are totals over all timed iterations; two recordings with
-	// different iteration counts but identical per-op work must compare
-	// equal — even at zero tolerance.
-	oldB := baselineWith("a", 1000, 5, 42) // 10 ops, 4.2 balls/op
-	newB := baselineWith("b", 1000, 5, 42)
-	newB.Stages[0].Ops = 30
-	newB.Stages[0].BallsTested = 126 // same 4.2 balls/op
-	rep, err := DiffBaselines(oldB, newB, BenchTolerances{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs := rep.Regressions(); len(regs) != 0 {
-		t.Errorf("equal per-op work regressed: %+v", regs)
-	}
-}
-
-func TestDiffBaselinesStageCoverage(t *testing.T) {
-	oldB := baselineWith("a", 1000, 5, 42)
-	oldB.Stages = append(oldB.Stages, bench.Stage{Name: "iff", WallNS: 100, Ops: 1, NSPerOp: 100})
-	newB := baselineWith("b", 1000, 5, 42)
-	newB.Stages = append(newB.Stages, bench.Stage{Name: "mds", WallNS: 100, Ops: 1, NSPerOp: 100})
-	rep, err := DiffBaselines(oldB, newB, DefaultBenchTolerances())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var missing, added *Finding
-	for i := range rep.Findings {
-		switch rep.Findings[i].Metric {
-		case "stage/iff":
-			missing = &rep.Findings[i]
-		case "stage/mds":
-			added = &rep.Findings[i]
-		}
-	}
-	if missing == nil || !missing.Regressed {
-		t.Errorf("dropped stage not flagged as regression: %+v", missing)
-	}
-	if added == nil || added.Regressed {
-		t.Errorf("new stage should be reported but pass: %+v", added)
-	}
-}
-
-func TestDiffBaselinesCrossHostRefusal(t *testing.T) {
-	oldB := baselineWith("a", 1000, 5, 42)
-	newB := baselineWith("b", 1000, 5, 42)
-	oldB.Host = bench.Host{CPUModel: "cpu-one", NumCPU: 4, OS: "linux", Arch: "amd64"}
-	newB.Host = bench.Host{CPUModel: "cpu-two", NumCPU: 8, OS: "linux", Arch: "amd64"}
-
-	_, err := DiffBaselines(oldB, newB, BenchTolerances{})
-	if !errors.Is(err, ErrCrossHost) {
-		t.Fatalf("err = %v, want ErrCrossHost", err)
-	}
-	if !strings.Contains(err.Error(), "cpu-one") || !strings.Contains(err.Error(), "cpu-two") {
-		t.Errorf("refusal %q does not name both hosts", err)
-	}
-	if _, err := DiffBaselines(oldB, newB, BenchTolerances{AllowCrossHost: true}); err != nil {
-		t.Errorf("AllowCrossHost still refused: %v", err)
-	}
-	// A pre-stamping baseline (zero host) is never a mismatch.
-	oldB.Host = bench.Host{}
-	if _, err := DiffBaselines(oldB, newB, BenchTolerances{}); err != nil {
-		t.Errorf("unrecorded host treated as mismatch: %v", err)
-	}
-}
-
-func TestDefaultBenchTolerances(t *testing.T) {
-	tol := DefaultBenchTolerances()
-	if tol.NSFrac != 0.25 || tol.AllocFrac != 0.10 || tol.WorkFrac != 0.02 || tol.AllowCrossHost {
-		t.Errorf("defaults = %+v", tol)
 	}
 }
