@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzMeshStitch -fuzztime=$(FUZZTIME) ./internal/mesh
 	$(GO) test -run=^$$ -fuzz=FuzzLandmarkAssociation -fuzztime=$(FUZZTIME) ./internal/mesh
 	$(GO) test -run=^$$ -fuzz=FuzzDirectFlood -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzUBFCell -fuzztime=$(FUZZTIME) ./internal/core
 
 # One iteration of every benchmark — proves the profiling entry points stay
 # runnable.
@@ -114,11 +115,12 @@ detector-matrix:
 
 check: vet race race-shard benchsmoke trace-smoke trace-stat serve-smoke mesh-smoke ftdc-smoke detector-matrix fuzz
 
-# The cache-defeating correctness gate for CI and pre-merge runs: static
-# analysis plus the full test suite with result caching off, so every
+# The cache-defeating correctness gate for CI and pre-merge runs: gofmt and
+# static analysis, the full test suite with result caching off, so every
 # package really re-executes, then the end-to-end server and detector
 # smokes.
 ci:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -count=1 ./...
 	$(MAKE) serve-smoke

@@ -247,11 +247,12 @@ func BenchmarkUBFPerDegree(b *testing.B) {
 						}
 						sets[s] = coords
 					}
+					var s core.UBFScratch
 					var balls, checks int64
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						r := core.FitEmptyBall(sets[i%len(sets)], 0, 1.0, 1e-9)
+						r := s.Fit(sets[i%len(sets)], 0, nil, 1.0, ubfTol)
 						balls += int64(r.BallsTested)
 						checks += int64(r.NodesChecked)
 					}
@@ -261,6 +262,10 @@ func BenchmarkUBFPerDegree(b *testing.B) {
 		})
 	}
 }
+
+// ubfTol is the kernel benchmarks' uniform strict-interior tolerance. They
+// hold one UBFScratch each, as every detection worker does.
+func ubfTol(int) float64 { return 1e-9 }
 
 func byDegree(d int) string {
 	switch {
@@ -303,11 +308,12 @@ func BenchmarkUBFStageFig1(b *testing.B) {
 			for s := range sets {
 				sets[s] = fig1TwoHop(rand.New(rand.NewSource(int64(100+s))), tc.interior)
 			}
+			var s core.UBFScratch
 			var balls, checks int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := core.FitEmptyBall(sets[i%len(sets)], 0, 1.0, 1e-9)
+				r := s.Fit(sets[i%len(sets)], 0, nil, 1.0, ubfTol)
 				balls += int64(r.BallsTested)
 				checks += int64(r.NodesChecked)
 			}

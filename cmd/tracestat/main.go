@@ -138,15 +138,19 @@ func loadTrace(path string) (*analyze.Trace, error) {
 	return tr, nil
 }
 
-// writeReport emits the optional JSON envelope.
+// writeReport emits the optional JSON envelope. Its params name the
+// inputs of the mode that ran: the trace or the FTDC capture (with the
+// capture gates), and what it was diffed against.
 func writeReport(opts options, rep report) error {
 	if opts.Out == "" {
 		return nil
 	}
-	env := cli.Envelope{Tool: "tracestat", Params: map[string]any{
-		"trace": opts.Trace, "against": opts.Against,
-	}, Data: rep}
-	return cli.WriteEnvelope(opts.Out, env)
+	params := map[string]any{"trace": opts.Trace, "against": opts.Against}
+	if opts.FTDC != "" {
+		params = map[string]any{"ftdc": opts.FTDC, "against": opts.Against,
+			"min_samples": opts.MinSamples, "require_p99": opts.RequireP99}
+	}
+	return cli.WriteEnvelope(opts.Out, cli.Envelope{Tool: "tracestat", Params: params, Data: rep})
 }
 
 // analyzeTrace is the single-trace mode: validate, print convergence

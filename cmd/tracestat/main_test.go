@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -212,5 +213,45 @@ func TestFTDCModeAndGates(t *testing.T) {
 	// -ftdc is exclusive with the other inputs.
 	if err := run(reset(&out), options{FTDC: capA, Trace: "x.jsonl"}); err == nil || errors.Is(err, errFindings) {
 		t.Errorf("ftdc+trace: err = %v, want usage error", err)
+	}
+}
+
+// TestReportParamsNameTheInputs: the -out envelope's params name the
+// inputs of the mode that ran — an FTDC report names its capture and
+// gates, a trace diff both of its traces.
+func TestReportParamsNameTheInputs(t *testing.T) {
+	dir := t.TempDir()
+	capA := writeFTDC(t, filepath.Join(dir, "a"), 100)
+	capB := writeFTDC(t, filepath.Join(dir, "b"), 100)
+	trA := writeTrace(t, dir, "a.jsonl", 10)
+	trB := writeTrace(t, dir, "b.jsonl", 10)
+	outPath := filepath.Join(dir, "report.json")
+	for _, tc := range []struct {
+		name string
+		opts options
+		want map[string]any
+	}{
+		{"ftdc", options{FTDC: capA, MinSamples: 2, RequireP99: "iff"},
+			map[string]any{"ftdc": capA, "against": "", "min_samples": 2.0, "require_p99": "iff"}},
+		{"ftdc-diff", options{FTDC: capA, Against: capB, TolWall: -1},
+			map[string]any{"ftdc": capA, "against": capB, "min_samples": 0.0, "require_p99": ""}},
+		{"trace-diff", options{Trace: trA, Against: trB, TolWall: -1},
+			map[string]any{"trace": trA, "against": trB}},
+	} {
+		tc.opts.Out = outPath
+		if err := run(&bytes.Buffer{}, tc.opts); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		raw, err := os.ReadFile(outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, _, err := cli.ReadEnvelope(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(env.Params, tc.want) {
+			t.Errorf("%s: params %v, want %v", tc.name, env.Params, tc.want)
+		}
 	}
 }

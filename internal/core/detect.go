@@ -81,14 +81,6 @@ type Config struct {
 	// means 4 (three points fix a rigid motion; one more adds
 	// redundancy against noise).
 	MinSharedForStitch int
-	// MaxBorderline caps, under adaptive tolerances, how many
-	// "possible occupants" (points inside a candidate ball's nominal
-	// surface but within their own uncertainty band) an empty ball may
-	// carry. The zero value disables the cap — experiments showed it
-	// trades away far too much recall under heavy ranging noise — but
-	// it remains available for precision-critical deployments. Negative
-	// also disables; ignored under CoordsTrue.
-	MaxBorderline int
 	// AdaptiveTolFactor scales the node's locally observable coordinate
 	// uncertainty into an additional strict-interior tolerance: under
 	// noisy coordinates a node only counts as inside a candidate ball
@@ -195,9 +187,6 @@ func (c Config) withDefaults(haveMeasurement bool) Config {
 	}
 	if c.AdaptiveTolFactor == 0 {
 		c.AdaptiveTolFactor = 1
-	}
-	if c.MaxBorderline == 0 {
-		c.MaxBorderline = -1
 	}
 	if c.IFFThreshold == 0 {
 		c.IFFThreshold = 20
@@ -319,7 +308,7 @@ func Detect(net *netgen.Network, meas *netgen.Measurement, cfg Config) (*Result,
 // checked between stages and inside the parallel per-node loops, so a
 // cancelled run returns ctx.Err() promptly without partial results. o, when
 // non-nil, receives span events for every stage (detect, frames, ubf, iff,
-// grouping) plus typed counters (balls tested, grid cells probed, messages
+// grouping) plus typed counters (balls tested, nodes checked, messages
 // delivered/dropped/retransmitted, ...); a nil o adds no allocations and no
 // measurable cost. Observation never changes the result: verdicts are
 // bit-identical with tracing on or off.
@@ -386,64 +375,20 @@ func paperDetect(ctx context.Context, o obs.Observer, net *netgen.Network, meas 
 	}
 
 	// Stage 2: Unit Ball Fitting per node. Each worker owns a UBFScratch
-	// (grid, tolerance and ordering buffers) and an assembleScratch, so the
-	// steady-state per-node cost allocates nothing on the CoordsTrue path.
+	// and an assembleScratch, so the steady-state per-node cost allocates
+	// nothing on the CoordsTrue path.
 	ubfSpan := obs.Start(o, obs.StageUBF)
 	scratch := make([]UBFScratch, cfg.Workers)
 	asm := make([]assembleScratch, cfg.Workers)
-	cellsProbed := make([]int64, cfg.Workers)
 	err := par.For(n, cfg.Workers, func(w, i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		coords, candidates, spreads := assembleKnowledge(tab, cfg, frames, i, &asm[w])
-		// Per-point tolerance: every known position is discounted by its
-		// own locally observable uncertainty — the spread of the
-		// independent estimates the consensus stitching collected for
-		// it (zero under CoordsTrue).
-		tolAt := uniformTol(tol)
-		maxBorderline := -1
-		if cfg.AdaptiveTolFactor > 0 && spreads != nil {
-			factor := cfg.AdaptiveTolFactor
-			tolAt = func(idx int) float64 {
-				if a := factor * spreads[idx]; a > tol {
-					return a
-				}
-				return tol
-			}
-			maxBorderline = cfg.MaxBorderline
-		}
-		r := scratch[w].Fit(coords, 0, candidates, radius, tolAt, maxBorderline)
-		res.UBF[i] = r.Boundary
-		res.BallsTested[i] = r.BallsTested
-		res.NodesChecked[i] = r.NodesChecked
-		cellsProbed[w] += int64(r.CellsProbed)
+		fitNode(&scratch[w], res, i, coords, candidates, spreads, radius, tol, cfg.AdaptiveTolFactor)
 		return nil
 	})
-	if o != nil {
-		var balls, checked, cells, marked int64
-		for i := range res.BallsTested {
-			balls += int64(res.BallsTested[i])
-			checked += int64(res.NodesChecked[i])
-			if res.UBF[i] {
-				marked++
-			}
-		}
-		for _, c := range cellsProbed {
-			cells += c
-		}
-		obs.Add(o, obs.StageUBF, obs.CtrBallsTested, balls)
-		obs.Add(o, obs.StageUBF, obs.CtrNodesChecked, checked)
-		obs.Add(o, obs.StageUBF, obs.CtrGridCells, cells)
-		obs.Add(o, obs.StageUBF, obs.CtrUBFBoundary, marked)
-		// Flight recorder: each marked node claims boundary status
-		// (Sec. II-A), in ascending ID for a deterministic trace.
-		for i, b := range res.UBF {
-			if b {
-				obs.NodeTransition(o, obs.StageUBF, obs.TransBoundaryClaim, i, 0)
-			}
-		}
-	}
+	reportUBF(o, res)
 	ubfSpan.End()
 	if err != nil {
 		return nil, err
@@ -453,6 +398,53 @@ func paperDetect(ctx context.Context, o obs.Observer, net *netgen.Network, meas 
 		return nil, err
 	}
 	return res, nil
+}
+
+// fitNode runs Unit Ball Fitting over one node's assembled knowledge and
+// stores the verdict and work counters at index g of res. Under adaptive
+// tolerances (adapt > 0, spreads non-nil: CoordsMDS) every known position
+// is discounted by its own locally observable uncertainty — the spread of
+// the independent estimates the consensus stitching collected for it —
+// but never below the uniform tolerance tol.
+func fitNode(s *UBFScratch, res *Result, g int, coords []geom.Vec3, candidates []int, spreads []float64, radius, tol, adapt float64) {
+	tolAt := uniformTol(tol)
+	if adapt > 0 && spreads != nil {
+		tolAt = func(idx int) float64 {
+			if a := adapt * spreads[idx]; a > tol {
+				return a
+			}
+			return tol
+		}
+	}
+	r := s.Fit(coords, 0, candidates, radius, tolAt)
+	res.UBF[g] = r.Boundary
+	res.BallsTested[g] = r.BallsTested
+	res.NodesChecked[g] = r.NodesChecked
+}
+
+// reportUBF folds the per-node UBF work counters and boundary marks into o
+// and records each marked node's boundary claim (Sec. II-A), in ascending
+// ID for a deterministic trace.
+func reportUBF(o obs.Observer, res *Result) {
+	if o == nil {
+		return
+	}
+	var balls, checked, marked int64
+	for i := range res.BallsTested {
+		balls += int64(res.BallsTested[i])
+		checked += int64(res.NodesChecked[i])
+		if res.UBF[i] {
+			marked++
+		}
+	}
+	obs.Add(o, obs.StageUBF, obs.CtrBallsTested, balls)
+	obs.Add(o, obs.StageUBF, obs.CtrNodesChecked, checked)
+	obs.Add(o, obs.StageUBF, obs.CtrUBFBoundary, marked)
+	for i, b := range res.UBF {
+		if b {
+			obs.NodeTransition(o, obs.StageUBF, obs.TransBoundaryClaim, i, 0)
+		}
+	}
 }
 
 // filterAndGroup runs detection stages 3 and 4 — Isolated Fragment

@@ -208,7 +208,7 @@ func TestIFFFloodSteadyStateAllocs(t *testing.T) {
 		}
 		for u := range inc.Len() {
 			coords, candidates := trueKnowledge(inc, inc.pos, inc.cfg.Scope, u, &as)
-			ubf.Fit(coords, 0, candidates, inc.ballR, uniformTol(inc.tol), -1)
+			ubf.Fit(coords, 0, candidates, inc.ballR, uniformTol(inc.tol))
 		}
 	}
 	pass()

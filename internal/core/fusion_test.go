@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
@@ -73,7 +72,7 @@ func TestFitEmptyBallPerPointTolerance(t *testing.T) {
 	coords := []geom.Vec3{geom.Zero, j, k, balls[0].Center, balls[1].Center}
 	candidates := []int{1, 2}
 
-	strict := FitEmptyBallCandidates(coords, 0, candidates, 1.0, 1e-9)
+	strict := FitEmptyBallTolerances(coords, 0, candidates, 1.0, uniformTol(1e-9))
 	if strict.Boundary {
 		t.Fatal("occupants at the ball centers failed to block")
 	}
@@ -86,38 +85,6 @@ func TestFitEmptyBallPerPointTolerance(t *testing.T) {
 	loose := FitEmptyBallTolerances(coords, 0, candidates, 1.0, tol)
 	if !loose.Boundary {
 		t.Fatal("uncertain occupants still blocked the ball")
-	}
-}
-
-func TestFitEmptyBallBorderlineCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	coords := halfSpaceNeighborhood(rng, 12)
-	// Several occupants in the free half-space, all within their
-	// (large) tolerance bands.
-	for _, p := range []geom.Vec3{
-		geom.V(0, 0, 0.8), geom.V(0.2, 0, 0.9), geom.V(-0.2, 0.1, 0.85), geom.V(0.1, -0.2, 0.7),
-	} {
-		coords = append(coords, p)
-	}
-	bigTol := func(int) float64 { return 2.0 }
-	// Without a cap the tolerances hide all occupants: boundary.
-	if !FitEmptyBallUncertain(coords, 0, nil, 1.0, bigTol, -1).Boundary {
-		t.Fatal("uncapped test should find an empty ball")
-	}
-	// With a tight cap, four borderline occupants exceed the budget for
-	// the balls aimed at the occupied region, but balls through other
-	// contact pairs may still dodge them; what must hold is monotonicity:
-	// capped detections imply uncapped detections.
-	capped := FitEmptyBallUncertain(coords, 0, nil, 1.0, bigTol, 0)
-	uncapped := FitEmptyBallUncertain(coords, 0, nil, 1.0, bigTol, -1)
-	if capped.Boundary && !uncapped.Boundary {
-		t.Fatal("cap widened detection")
-	}
-	// Cap 0 with huge tolerances must behave like the plain strict test
-	// with tiny tolerance on these coordinates.
-	plain := FitEmptyBallCandidates(coords, 0, nil, 1.0, 1e-9)
-	if capped.Boundary != plain.Boundary {
-		t.Errorf("cap-0 = %v, strict = %v", capped.Boundary, plain.Boundary)
 	}
 }
 

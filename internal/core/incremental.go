@@ -391,7 +391,7 @@ func (inc *Incremental) repair(o obs.Observer, changed []geom.Vec3) {
 		u := int(ubfDirty[k])
 		sc := &inc.scratch[w]
 		coords, candidates := trueKnowledge(inc, inc.pos, inc.cfg.Scope, u, &sc.asm)
-		r := sc.ubf.Fit(coords, 0, candidates, inc.ballR, uniformTol(inc.tol), -1)
+		r := sc.ubf.Fit(coords, 0, candidates, inc.ballR, uniformTol(inc.tol))
 		inc.ubf[u] = r.Boundary
 		inc.balls[u] = r.BallsTested
 		inc.checked[u] = r.NodesChecked

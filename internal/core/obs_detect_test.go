@@ -223,15 +223,14 @@ func TestDetectNoOpObserverHotPathAllocFree(t *testing.T) {
 	interior := denseNeighborhood(rng, 150)
 	boundary := halfSpaceNeighborhood(rng, 150)
 	var s UBFScratch
-	s.Fit(interior, 0, nil, 1.0, uniformTol(1e-9), -1) // warm the buffers
-	s.Fit(boundary, 0, nil, 1.0, uniformTol(1e-9), -1)
+	s.Fit(interior, 0, nil, 1.0, uniformTol(1e-9)) // warm the buffers
+	s.Fit(boundary, 0, nil, 1.0, uniformTol(1e-9))
 	allocs := testing.AllocsPerRun(50, func() {
 		span := obs.Start(nil, obs.StageUBF)
-		r1 := s.Fit(interior, 0, nil, 1.0, uniformTol(1e-9), -1)
-		r2 := s.Fit(boundary, 0, nil, 1.0, uniformTol(1e-9), -1)
+		r1 := s.Fit(interior, 0, nil, 1.0, uniformTol(1e-9))
+		r2 := s.Fit(boundary, 0, nil, 1.0, uniformTol(1e-9))
 		obs.Add(nil, obs.StageUBF, obs.CtrBallsTested, int64(r1.BallsTested+r2.BallsTested))
 		obs.Add(nil, obs.StageUBF, obs.CtrNodesChecked, int64(r1.NodesChecked+r2.NodesChecked))
-		obs.Add(nil, obs.StageUBF, obs.CtrGridCells, int64(r1.CellsProbed+r2.CellsProbed))
 		span.End()
 	})
 	if allocs != 0 {

@@ -257,7 +257,6 @@ func detectSharded(ctx context.Context, o obs.Observer, net *netgen.Network, mea
 	ubfSpan := obs.Start(o, obs.StageUBF)
 	ubfScratch := make([]UBFScratch, cfg.Workers)
 	asm := make([]assembleScratch, cfg.Workers)
-	cellsProbed := make([]int64, cfg.Workers)
 	err = par.For(cfg.Shards, cfg.Workers, func(w, s int) error {
 		v := views[s]
 		if v == nil {
@@ -269,49 +268,11 @@ func detectSharded(ctx context.Context, o obs.Observer, net *netgen.Network, mea
 			}
 			l := int(l32)
 			coords, candidates, spreads := assembleKnowledge(&v.tab, cfg, v.frames, l, &asm[w])
-			tolAt := uniformTol(tol)
-			maxBorderline := -1
-			if cfg.AdaptiveTolFactor > 0 && spreads != nil {
-				factor := cfg.AdaptiveTolFactor
-				tolAt = func(idx int) float64 {
-					if a := factor * spreads[idx]; a > tol {
-						return a
-					}
-					return tol
-				}
-				maxBorderline = cfg.MaxBorderline
-			}
-			r := ubfScratch[w].Fit(coords, 0, candidates, radius, tolAt, maxBorderline)
-			g := v.glob[l]
-			res.UBF[g] = r.Boundary
-			res.BallsTested[g] = r.BallsTested
-			res.NodesChecked[g] = r.NodesChecked
-			cellsProbed[w] += int64(r.CellsProbed)
+			fitNode(&ubfScratch[w], res, int(v.glob[l]), coords, candidates, spreads, radius, tol, cfg.AdaptiveTolFactor)
 		}
 		return nil
 	})
-	if o != nil {
-		var balls, checked, cells, marked int64
-		for i := range res.BallsTested {
-			balls += int64(res.BallsTested[i])
-			checked += int64(res.NodesChecked[i])
-			if res.UBF[i] {
-				marked++
-			}
-		}
-		for _, c := range cellsProbed {
-			cells += c
-		}
-		obs.Add(o, obs.StageUBF, obs.CtrBallsTested, balls)
-		obs.Add(o, obs.StageUBF, obs.CtrNodesChecked, checked)
-		obs.Add(o, obs.StageUBF, obs.CtrGridCells, cells)
-		obs.Add(o, obs.StageUBF, obs.CtrUBFBoundary, marked)
-		for i, b := range res.UBF {
-			if b {
-				obs.NodeTransition(o, obs.StageUBF, obs.TransBoundaryClaim, i, 0)
-			}
-		}
-	}
+	reportUBF(o, res)
 	ubfSpan.End()
 	if err != nil {
 		return nil, err

@@ -12,7 +12,6 @@ package core
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/geom"
 )
@@ -62,9 +61,6 @@ type UBFNodeResult struct {
 	BallsTested int
 	// NodesChecked counts point-in-ball tests performed.
 	NodesChecked int
-	// CellsProbed counts spatial-grid cells visited by the pruned
-	// emptiness test; zero on the brute path (below the grid gate).
-	CellsProbed int
 }
 
 // FitEmptyBall runs the Unit Ball Fitting test (Algorithm 1 steps II–III)
@@ -74,22 +70,12 @@ type UBFNodeResult struct {
 // strict-interior tolerance: a neighbor only invalidates a ball when it
 // lies deeper than tol inside (per Definition 6, touching the surface does
 // not count). Every coordinate doubles as a ball-defining candidate; use
-// FitEmptyBallCandidates to restrict the contact pairs.
+// FitEmptyBallTolerances to restrict the contact pairs.
 //
 // It returns as soon as one empty ball is found (the node is a boundary
 // node); otherwise it exhausts all Θ(ρ²) candidate balls.
 func FitEmptyBall(coords []geom.Vec3, center int, radius, tol float64) UBFNodeResult {
-	return FitEmptyBallCandidates(coords, center, nil, radius, tol)
-}
-
-// FitEmptyBallCandidates is FitEmptyBall with the ball-defining contact
-// pairs restricted to the given indices into coords (the deciding node's
-// one-hop neighbors in the pipeline: Algorithm 1 forms balls through the
-// node and two one-hop neighbors, while emptiness is judged against every
-// known coordinate — the full Θ(ρ) ball content of Theorem 1). candidates
-// must not include center; nil means every index except center.
-func FitEmptyBallCandidates(coords []geom.Vec3, center int, candidates []int, radius, tol float64) UBFNodeResult {
-	return FitEmptyBallTolerances(coords, center, candidates, radius, uniformTol(tol))
+	return FitEmptyBallTolerances(coords, center, nil, radius, uniformTol(tol))
 }
 
 // TolFunc returns the strict-interior tolerance for the coordinate at the
@@ -101,109 +87,69 @@ type TolFunc func(index int) float64
 
 func uniformTol(tol float64) TolFunc { return func(int) float64 { return tol } }
 
-// FitEmptyBallTolerances is FitEmptyBallCandidates with a per-point
-// tolerance and no borderline cap.
-func FitEmptyBallTolerances(coords []geom.Vec3, center int, candidates []int, radius float64, tol TolFunc) UBFNodeResult {
-	return FitEmptyBallUncertain(coords, center, candidates, radius, tol, -1)
-}
-
-// FitEmptyBallUncertain is the pipeline's full uncertainty-aware test. A
-// candidate ball counts as empty when (a) no point lies deeper inside than
-// its own tolerance — a certain occupant — and (b) at most maxBorderline
-// points lie inside the nominal surface but within their tolerance band —
-// possible occupants. The cap separates the two regimes the plain
-// tolerance test confuses: a genuine boundary ball carries at most a
-// couple of uncertain phantoms, while a deep interior ball under inflated
-// tolerances carries many borderline points at once. Negative
-// maxBorderline disables the cap.
+// FitEmptyBallTolerances is the pipeline's uncertainty-aware test: a
+// candidate ball counts as empty when no point lies deeper inside than its
+// own tolerance. The ball-defining contact pairs are restricted to the
+// given indices into coords (the deciding node's one-hop neighbors in the
+// pipeline: Algorithm 1 forms balls through the node and two one-hop
+// neighbors, while emptiness is judged against every known coordinate —
+// the full Θ(ρ) ball content of Theorem 1). candidates must not include
+// center; nil means every index except center.
 //
-// This convenience wrapper borrows a pooled UBFScratch; hot loops should
-// hold a scratch per worker and call its Fit method instead.
-func FitEmptyBallUncertain(coords []geom.Vec3, center int, candidates []int, radius float64, tol TolFunc, maxBorderline int) UBFNodeResult {
-	s := scratchPool.Get().(*UBFScratch)
-	res := s.Fit(coords, center, candidates, radius, tol, maxBorderline)
-	scratchPool.Put(s)
-	return res
+// Each call builds a fresh UBFScratch; hot loops should hold a scratch per
+// worker and call its Fit method instead.
+func FitEmptyBallTolerances(coords []geom.Vec3, center int, candidates []int, radius float64, tol TolFunc) UBFNodeResult {
+	var s UBFScratch
+	return s.Fit(coords, center, candidates, radius, tol)
 }
-
-var scratchPool = sync.Pool{New: func() any { return new(UBFScratch) }}
 
 // UBFScratch holds the reusable state of the Unit Ball Fitting hot path:
-// the spatial index over the neighborhood, precomputed per-point
-// tolerances, the candidate ordering, and the node-relative frame. A zero
-// value is ready to use; after the first few Fit calls warm its buffers,
-// the steady state performs no allocations. A scratch is not safe for
-// concurrent use — the pipeline keeps one per worker.
+// the node-relative frame, the squared occupancy thresholds, the candidate
+// ordering and the membership-scan order. A zero value is ready to use;
+// after the first few Fit calls warm its buffers, the steady state performs
+// no allocations. A scratch is not safe for concurrent use — the pipeline
+// keeps one per worker.
 type UBFScratch struct {
-	grid  geom.PointGrid
 	rel   []geom.Vec3 // coords translated so the deciding node is the origin
 	nn    []float64   // |rel[i]|², hoisted out of the pair loop
-	tols  []float64   // tol(i), cached once per Fit
-	occ2  []float64   // (max(radius-tols[i], 0))²: certain-occupant threshold
+	occ2  []float64   // (max(radius-tol(i), 0))²: certain-occupant threshold
 	cands []int       // candidate buffer for the nil-candidates case
 	order []int       // candidates sorted by the try-empty-first heuristic
 	score []float64   // ordering key, indexed by coordinate index
 	scan  []int32     // membership-scan order: likeliest blockers first
-	cells int         // grid cells probed this Fit (grid path only)
 }
 
-// gridMinPoints gates the spatial index. The witness cache plus early exit
-// make a blocked ball's brute scan ~3 distance checks, so the per-ball cell
-// walk only pays off once the occasional full confirmation scan (O(n))
-// outweighs the walk overhead on every ball — measured on two-hop
-// neighborhoods, that crossover sits in the hundreds of points, well above
-// the fig. 1 operating shape (n ≈ 150 at average degree 18.8). Below the
-// gate Fit stays on the brute path. A variable so tests can force the grid
-// path on small neighborhoods.
-var gridMinPoints = 256
-
-// disableGridPruning forces every emptiness test onto the brute-force scan.
-// Tests flip it to check that the pruned fast path is an invisible
-// optimization at pipeline scope. disableOrdering likewise pins the
-// candidate-pair order to the caller's, for the same invisibility check.
-var (
-	disableGridPruning = false
-	disableOrdering    = false
-)
+// disableOrdering pins the candidate-pair order to the caller's. Tests flip
+// it to check that the ordering heuristic is an invisible optimization.
+var disableOrdering = false
 
 // Fit runs the uncertainty-aware Unit Ball Fitting test using the scratch's
-// buffers. Semantics are exactly FitEmptyBallUncertain's; only the work
-// counters depend on the scratch-enabled pruning and ordering, never the
-// Boundary verdict (Definition 6 asks whether *some* empty ball exists, so
-// the outcome is independent of the order in which balls and points are
-// examined).
-func (s *UBFScratch) Fit(coords []geom.Vec3, center int, candidates []int, radius float64, tol TolFunc, maxBorderline int) UBFNodeResult {
+// buffers. Semantics are exactly FitEmptyBallTolerances'; only the work
+// counters depend on the candidate ordering, never the Boundary verdict
+// (Definition 6 asks whether *some* empty ball exists, so the outcome is
+// independent of the order in which balls and points are examined).
+func (s *UBFScratch) Fit(coords []geom.Vec3, center int, candidates []int, radius float64, tol TolFunc) UBFNodeResult {
 	n := len(coords)
-	s.cells = 0
 
 	// Everything below works in the frame translated so the deciding node
 	// is the origin: ball centers come out of the pair solver relative to
 	// the node, and membership tests never translate back. The squared
-	// norms double as the pair loop's hoisted |b-a|² values. Cache
-	// tolerances and squared occupancy thresholds once per node too: the
-	// inner loop runs membership tests per ball and must not pay a closure
-	// call plus a subtraction each time. minTol widens the grid query when
-	// negative tolerances push a point's occupancy shell *outside* the
-	// nominal ball surface.
+	// norms double as the pair loop's hoisted |b-a|² values. Cache the
+	// squared occupancy thresholds once per node too: the inner loop runs
+	// membership tests per ball and must not pay a closure call plus a
+	// subtraction each time.
 	s.rel = s.rel[:0]
 	s.nn = s.nn[:0]
-	s.tols = s.tols[:0]
 	s.occ2 = s.occ2[:0]
 	a := coords[center]
-	minTol := 0.0
 	for i := 0; i < n; i++ {
 		r := coords[i].Sub(a)
 		s.rel = append(s.rel, r)
 		s.nn = append(s.nn, r.Norm2())
-		t := tol(i)
-		if t < minTol {
-			minTol = t
-		}
-		rr := radius - t
+		rr := radius - tol(i)
 		if rr < 0 {
 			rr = 0
 		}
-		s.tols = append(s.tols, t)
 		s.occ2 = append(s.occ2, rr*rr)
 	}
 
@@ -241,41 +187,33 @@ func (s *UBFScratch) Fit(coords []geom.Vec3, center int, candidates []int, radiu
 		sortByScoreDesc(s.order, s.score)
 	}
 
-	useGrid := n >= gridMinPoints && !disableGridPruning
-	if useGrid {
-		s.grid.Build(s.rel, radius)
-	}
-	extra := -minTol // ≥ 0 by construction (minTol starts at 0)
 	r2 := radius * radius
 
-	// The default scan visits points nearest the node first: a point at
-	// distance d from the node occupies every candidate ball whose center
-	// direction is within arccos(d/2r) of it, so the nearest points block
-	// the widest swath of balls and settle an occupied ball in the fewest
-	// membership tests. A full sort costs more than it saves; three stable
-	// distance tiers capture the effect. The three ball-defining surface
-	// points are not re-tested: the node is left out of the order, and the
-	// current pair's occupancy thresholds are parked at zero (d² < 0 never
-	// holds) for the duration of the pair, which also keeps the witness
-	// cache honest without per-point index compares.
-	inlineScan := maxBorderline < 0 && !useGrid
-	if inlineScan {
-		s.scan = s.scan[:0]
-		t1 := 0.25 * r2
-		for i, d := range s.nn {
-			if i != center && d < t1 {
-				s.scan = append(s.scan, int32(i))
-			}
+	// The scan visits points nearest the node first: a point at distance d
+	// from the node occupies every candidate ball whose center direction is
+	// within arccos(d/2r) of it, so the nearest points block the widest
+	// swath of balls and settle an occupied ball in the fewest membership
+	// tests. A full sort costs more than it saves; three stable distance
+	// tiers capture the effect. The three ball-defining surface points are
+	// not re-tested: the node is left out of the order, and the current
+	// pair's occupancy thresholds are parked at zero (d² < 0 never holds)
+	// for the duration of the pair, which also keeps the witness cache
+	// honest without per-point index compares.
+	s.scan = s.scan[:0]
+	t1 := 0.25 * r2
+	for i, d := range s.nn {
+		if i != center && d < t1 {
+			s.scan = append(s.scan, int32(i))
 		}
-		for i, d := range s.nn {
-			if i != center && d >= t1 && d < r2 {
-				s.scan = append(s.scan, int32(i))
-			}
+	}
+	for i, d := range s.nn {
+		if i != center && d >= t1 && d < r2 {
+			s.scan = append(s.scan, int32(i))
 		}
-		for i, d := range s.nn {
-			if i != center && d >= r2 {
-				s.scan = append(s.scan, int32(i))
-			}
+	}
+	for i, d := range s.nn {
+		if i != center && d >= r2 {
+			s.scan = append(s.scan, int32(i))
 		}
 	}
 
@@ -294,10 +232,8 @@ func (s *UBFScratch) Fit(coords []geom.Vec3, center int, candidates []int, radiu
 	for cj := 0; cj < len(ord); cj++ {
 		j := ord[cj]
 		u, uu := rel[j], nn[j]
-		var oj float64
-		if inlineScan {
-			oj, occ2[j] = occ2[j], 0 // j sits on every ball of this row
-		}
+		oj := occ2[j]
+		occ2[j] = 0 // j sits on every ball of this row
 		for ck := cj + 1; ck < len(ord); ck++ {
 			k := ord[ck]
 			// Candidate unit balls through the node and a neighbor pair:
@@ -331,189 +267,44 @@ func (s *UBFScratch) Fit(coords []geom.Vec3, center int, candidates []int, radiu
 				c1, c2 = off.Add(lift), off.Sub(lift)
 				count = 2
 			}
-			var ok2 float64
-			if inlineScan {
-				ok2, occ2[k] = occ2[k], 0 // k sits on both balls of this pair
-			}
+			ok2 := occ2[k]
+			occ2[k] = 0 // k sits on both balls of this pair
 			for b := 0; b < count; b++ {
 				ctr := c1
 				if b == 1 {
 					ctr = c2
 				}
 				res.BallsTested++
-				// Witness fast path, inline to spare the call.
-				if w := witness; w >= 0 && w != center && w != j && w != k {
+				// Witness fast path. The surface points j and k are skipped
+				// so that their parked thresholds are not counted as
+				// membership tests.
+				if w := witness; w >= 0 && w != j && w != k {
 					res.NodesChecked++
 					if rel[w].Dist2(ctr) < occ2[w] {
 						continue
 					}
 				}
-				var empty bool
-				var checked int
-				switch {
-				case useGrid:
-					empty, checked, witness = s.ballEmptyGrid(ctr, radius, r2, center, j, k, maxBorderline, extra, witness)
-				case maxBorderline < 0:
-					// The pipeline-default scan, in place: the call frame
-					// for the general test costs as much as the few probes
-					// an occupied ball needs. The order is the near-first
-					// tiering built above; the pair's surface points fail
-					// the parked occupancy test instead of paying index
-					// compares on every probe.
-					empty = true
-					for _, ni := range scan {
-						m := int(ni)
-						checked++
-						if rel[m].Dist2(ctr) < occ2[m] {
-							empty = false
-							witness = m
-							break
-						}
+				// The emptiness scan, in place: a call frame costs as much
+				// as the few probes an occupied ball needs.
+				empty, checked := true, 0
+				for _, ni := range scan {
+					m := int(ni)
+					checked++
+					if rel[m].Dist2(ctr) < occ2[m] {
+						empty = false
+						witness = m
+						break
 					}
-				default:
-					empty, checked, witness = ballEmptyBrute(ctr, r2, rel, occ2, center, j, k, maxBorderline, witness)
 				}
 				res.NodesChecked += checked
 				if empty {
 					res.Boundary = true
-					res.CellsProbed = s.cells
 					return res // no sentinel restore: occ2 is rebuilt per Fit
 				}
 			}
-			if inlineScan {
-				occ2[k] = ok2
-			}
+			occ2[k] = ok2
 		}
-		if inlineScan {
-			occ2[j] = oj
-		}
+		occ2[j] = oj
 	}
-	res.CellsProbed = s.cells
 	return res
-}
-
-// ballEmptyBrute is the linear-scan uncertainty-aware emptiness test in the
-// node-relative frame: no point may lie deeper inside the ball at ctr than
-// its own tolerance (rel[i].Dist2(ctr) < occ2[i]), and (when maxBorderline
-// ≥ 0) at most maxBorderline points may sit inside the nominal surface
-// (dist² < r2) within their tolerance band. The three ball-defining points
-// (center, j, k) lie on the surface by construction and are skipped rather
-// than re-tested. Returns the verdict, the number of membership tests
-// performed, and the updated occupant witness (unchanged unless a certain
-// occupant was found).
-func ballEmptyBrute(ctr geom.Vec3, r2 float64, rel []geom.Vec3, occ2 []float64, center, j, k, maxBorderline, witness int) (bool, int, int) {
-	checked := 0
-	if maxBorderline < 0 {
-		// No borderline cap (the pipeline default): a tighter scan without
-		// the borderline branch.
-		for n, p := range rel {
-			if n == center || n == j || n == k {
-				continue
-			}
-			checked++
-			if p.Dist2(ctr) < occ2[n] {
-				return false, checked, n
-			}
-		}
-		return true, checked, witness
-	}
-	borderline := 0
-	for n, p := range rel {
-		if n == center || n == j || n == k {
-			continue
-		}
-		checked++
-		d2 := p.Dist2(ctr)
-		if d2 < occ2[n] {
-			return false, checked, n
-		}
-		if maxBorderline >= 0 && d2 < r2 {
-			// Inside the nominal surface but within its tolerance
-			// band: a possible occupant.
-			borderline++
-			if borderline > maxBorderline {
-				return false, checked, witness
-			}
-		}
-	}
-	return true, checked, witness
-}
-
-// ballEmptyGrid is ballEmptyBrute restricted to the grid cells intersecting
-// the query ball (the grid is built over the same node-relative frame). The
-// query radius is the ball radius widened by extra = max(0, -min tolerance):
-// a certain occupant satisfies dist < radius-tol ≤ radius+extra and a
-// borderline point satisfies dist < radius, so every point that could
-// affect the verdict lies inside the widened ball and the two paths always
-// agree on the verdict. Only the visit order (cell blocks instead of
-// ascending index) and hence the checked count differ.
-func (s *UBFScratch) ballEmptyGrid(ctr geom.Vec3, radius, r2 float64, center, j, k, maxBorderline int, extra float64, witness int) (bool, int, int) {
-	checked := 0
-	R := radius + extra
-	e := geom.V(R, R, R)
-	lo, hi, ok := s.grid.CellRange(geom.AABB{Min: ctr.Sub(e), Max: ctr.Add(e)})
-	if !ok {
-		return true, checked, witness
-	}
-	R2 := R * R
-	borderline := 0
-	// Probe the cell holding the ball center first: occupants cluster
-	// around the center, so non-empty balls — the overwhelming majority at
-	// interior nodes — are rejected after one cell instead of paying the
-	// full lexicographic walk. The walk below skips the probed cell, so
-	// each point is still visited exactly once (the verdict is
-	// order-independent; only the checked counter reflects the probe).
-	px, py, pz := -1, -1, -1
-	if plo, phi, pok := s.grid.CellRange(geom.AABB{Min: ctr, Max: ctr}); pok && plo == phi {
-		px, py, pz = plo[0], plo[1], plo[2]
-		s.cells++
-		for _, ni := range s.grid.Cell(px, py, pz) {
-			n := int(ni)
-			if n == center || n == j || n == k {
-				continue
-			}
-			checked++
-			d2 := s.rel[n].Dist2(ctr)
-			if d2 < s.occ2[n] {
-				return false, checked, n
-			}
-			if maxBorderline >= 0 && d2 < r2 {
-				borderline++
-				if borderline > maxBorderline {
-					return false, checked, witness
-				}
-			}
-		}
-	}
-	for x := lo[0]; x <= hi[0]; x++ {
-		for y := lo[1]; y <= hi[1]; y++ {
-			for z := lo[2]; z <= hi[2]; z++ {
-				if x == px && y == py && z == pz {
-					continue
-				}
-				if s.grid.CellMinDist2(x, y, z, ctr) > R2 {
-					continue
-				}
-				s.cells++
-				for _, ni := range s.grid.Cell(x, y, z) {
-					n := int(ni)
-					if n == center || n == j || n == k {
-						continue
-					}
-					checked++
-					d2 := s.rel[n].Dist2(ctr)
-					if d2 < s.occ2[n] {
-						return false, checked, n
-					}
-					if maxBorderline >= 0 && d2 < r2 {
-						borderline++
-						if borderline > maxBorderline {
-							return false, checked, witness
-						}
-					}
-				}
-			}
-		}
-	}
-	return true, checked, witness
 }

@@ -58,107 +58,6 @@ func TestFitSolverMatchesGeom(t *testing.T) {
 	}
 }
 
-// randomTols draws per-point tolerances including negative ones (which
-// widen a point's occupancy shell beyond the nominal surface — the case
-// that forces the grid query AABB wider than the ball).
-func randomTols(rng *rand.Rand, n int) []float64 {
-	tols := make([]float64, n)
-	for i := range tols {
-		tols[i] = (rng.Float64() - 0.5) * 0.2 // [-0.1, 0.1)
-	}
-	return tols
-}
-
-// TestFitGridPrunedMatchesBrute is the metamorphic identity behind the
-// spatial pruning: for any neighborhood, tolerance assignment, and
-// borderline cap, the grid-pruned emptiness test and the brute-force scan
-// must return the same Boundary verdict (Definition 6 asks whether *some*
-// empty ball exists, so the verdict cannot depend on scan order or
-// pruning). Only the work counters may differ.
-func TestFitGridPrunedMatchesBrute(t *testing.T) {
-	defer func(g, o bool, m int) { disableGridPruning, disableOrdering, gridMinPoints = g, o, m }(
-		disableGridPruning, disableOrdering, gridMinPoints)
-	gridMinPoints = 1 // force the grid path regardless of neighborhood size
-
-	rng := rand.New(rand.NewSource(23))
-	var forced, brute UBFScratch
-	for trial := 0; trial < 120; trial++ {
-		n := 20 + rng.Intn(200)
-		var coords []geom.Vec3
-		if trial%2 == 0 {
-			coords = denseNeighborhood(rng, n-1)
-		} else {
-			coords = halfSpaceNeighborhood(rng, n-1)
-		}
-		tols := randomTols(rng, len(coords))
-		tolAt := func(i int) float64 { return tols[i] }
-		maxBorderline := []int{-1, 0, 2}[trial%3]
-		radius := 0.6 + rng.Float64()
-
-		disableGridPruning = false
-		disableOrdering = trial%4 < 2
-		got := forced.Fit(coords, 0, nil, radius, tolAt, maxBorderline)
-
-		disableGridPruning = true
-		want := brute.Fit(coords, 0, nil, radius, tolAt, maxBorderline)
-
-		if got.Boundary != want.Boundary {
-			t.Fatalf("trial %d (n=%d cap=%d r=%.3f): pruned verdict %v, brute verdict %v",
-				trial, n, maxBorderline, radius, got.Boundary, want.Boundary)
-		}
-	}
-}
-
-// TestBallEmptyGridMatchesBruteDirect compares the two emptiness kernels
-// ball by ball, not just end to end: every candidate ball of a neighborhood
-// must get the same verdict from ballEmptyGrid and ballEmptyBrute,
-// including under negative tolerances that widen the query AABB.
-func TestBallEmptyGridMatchesBruteDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 60; trial++ {
-		nPts := 30 + rng.Intn(120)
-		coords := denseNeighborhood(rng, nPts-1)
-		radius := 0.8 + rng.Float64()*0.4
-		tols := randomTols(rng, len(coords))
-		maxBorderline := []int{-1, 0, 3}[trial%3]
-
-		var s UBFScratch
-		s.rel = s.rel[:0]
-		s.occ2 = s.occ2[:0]
-		minTol := 0.0
-		for i, c := range coords {
-			s.rel = append(s.rel, c) // center 0 is at the origin already
-			if tols[i] < minTol {
-				minTol = tols[i]
-			}
-			rr := radius - tols[i]
-			if rr < 0 {
-				rr = 0
-			}
-			s.occ2 = append(s.occ2, rr*rr)
-		}
-		s.grid.Build(s.rel, radius)
-		extra := -minTol
-		r2 := radius * radius
-
-		for q := 0; q < 40; q++ {
-			j := 1 + rng.Intn(nPts-1)
-			k := 1 + rng.Intn(nPts-1)
-			if j == k {
-				continue
-			}
-			for _, sph := range geom.SpheresThrough3(geom.Zero, s.rel[j], s.rel[k], radius) {
-				gotEmpty, _, _ := s.ballEmptyGrid(sph.Center, radius, r2, 0, j, k, maxBorderline, extra, -1)
-				wantEmpty, _, _ := ballEmptyBrute(sph.Center, r2, s.rel, s.occ2, 0, j, k, maxBorderline, -1)
-				if gotEmpty != wantEmpty {
-					t.Fatalf("trial %d ball through (0,%d,%d) at %v: grid=%v brute=%v (cap=%d)",
-						trial, j, k, sph.Center, gotEmpty, wantEmpty, maxBorderline)
-				}
-			}
-		}
-	}
-}
-
 // TestFitOrderingInvariance: the candidate ordering heuristic must never
 // change the verdict, only the work counters.
 func TestFitOrderingInvariance(t *testing.T) {
@@ -175,9 +74,9 @@ func TestFitOrderingInvariance(t *testing.T) {
 		}
 		tol := rng.Float64() * 1e-3
 		disableOrdering = false
-		got := a.Fit(coords, 0, nil, 1.0, uniformTol(tol), -1)
+		got := a.Fit(coords, 0, nil, 1.0, uniformTol(tol))
 		disableOrdering = true
-		want := b.Fit(coords, 0, nil, 1.0, uniformTol(tol), -1)
+		want := b.Fit(coords, 0, nil, 1.0, uniformTol(tol))
 		if got.Boundary != want.Boundary {
 			t.Fatalf("trial %d: ordered verdict %v, natural-order verdict %v", trial, got.Boundary, want.Boundary)
 		}
@@ -189,45 +88,30 @@ func TestFitOrderingInvariance(t *testing.T) {
 // and sphere slices the seed implementation built each time.
 func TestFitScratchSteadyStateAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	interior := denseNeighborhood(rng, 150) // large enough for the grid path
+	interior := denseNeighborhood(rng, 150)
 	boundary := halfSpaceNeighborhood(rng, 150)
 	var s UBFScratch
-	s.Fit(interior, 0, nil, 1.0, uniformTol(1e-9), -1) // warm the buffers
-	s.Fit(boundary, 0, nil, 1.0, uniformTol(1e-9), -1)
+	s.Fit(interior, 0, nil, 1.0, uniformTol(1e-9)) // warm the buffers
+	s.Fit(boundary, 0, nil, 1.0, uniformTol(1e-9))
 	allocs := testing.AllocsPerRun(50, func() {
-		s.Fit(interior, 0, nil, 1.0, uniformTol(1e-9), -1)
-		s.Fit(boundary, 0, nil, 1.0, uniformTol(1e-9), -1)
+		s.Fit(interior, 0, nil, 1.0, uniformTol(1e-9))
+		s.Fit(boundary, 0, nil, 1.0, uniformTol(1e-9))
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Fit allocates %.1f times per run", allocs)
 	}
 }
 
-// TestFitEmptyBallUncertainNilCandidatesAllocFree: the pooled wrapper must
-// stay allocation-free even when it derives the candidate set itself (the
-// seed built a fresh []int per call).
-func TestFitEmptyBallUncertainNilCandidatesAllocFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	coords := denseNeighborhood(rng, 40)
-	FitEmptyBallUncertain(coords, 0, nil, 1.0, uniformTol(1e-9), -1) // warm the pool
-	allocs := testing.AllocsPerRun(50, func() {
-		FitEmptyBallUncertain(coords, 0, nil, 1.0, uniformTol(1e-9), -1)
-	})
-	if allocs != 0 {
-		t.Errorf("pooled FitEmptyBallUncertain allocates %.1f times per run", allocs)
-	}
-}
-
-// TestFitScratchMatchesPooledWrapper: the scratch path and the one-shot
-// wrappers must agree exactly (verdict and counters) — they are the same
+// TestFitScratchMatchesWrapper: the reused scratch path and the one-shot
+// wrapper must agree exactly (verdict and counters) — they are the same
 // algorithm with different buffer ownership.
-func TestFitScratchMatchesPooledWrapper(t *testing.T) {
+func TestFitScratchMatchesWrapper(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	var s UBFScratch
 	for trial := 0; trial < 40; trial++ {
 		coords := halfSpaceNeighborhood(rng, 8+rng.Intn(40))
 		tol := rng.Float64() * 1e-6
-		got := s.Fit(coords, 0, nil, 1.0, uniformTol(tol), -1)
+		got := s.Fit(coords, 0, nil, 1.0, uniformTol(tol))
 		want := FitEmptyBall(coords, 0, 1.0, tol)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: scratch %+v != wrapper %+v", trial, got, want)

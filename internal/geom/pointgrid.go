@@ -3,17 +3,16 @@ package geom
 import "math"
 
 // PointGrid is a reusable uniform bucket grid over a point set, the
-// spatial index behind the pruned emptiness test of Unit Ball Fitting
-// (and usable anywhere a fixed point set is queried by region). Cells are
-// cubes of a caller-chosen size; each point lands in exactly one cell.
+// spatial index behind shard assignment (internal/partition/shard walks its
+// cells in flat index order). Cells are cubes of a caller-chosen size; each
+// point lands in exactly one cell.
 //
 // The grid stores bucket membership in a compact CSR layout (one item
 // array plus per-cell offsets) instead of per-cell slices, so a Build
 // over inputs of similar size reuses the previous allocation. A zero
 // PointGrid is ready to Build.
 type PointGrid struct {
-	points     []Vec3 // aliased, not copied
-	cell       float64
+	cell       float64 // effective cell size (grown for spread-out inputs)
 	inv        float64 // 1/cell
 	min        Vec3    // grid origin (bbox minimum)
 	nx, ny, nz int
@@ -31,12 +30,8 @@ type PointGrid struct {
 const maxCellsFactor = 8
 
 // Build indexes points with the given cell size (> 0), replacing any
-// previous contents. The points slice is aliased; callers must not move
-// the points while querying. Building an empty set yields a grid whose
-// queries return nothing.
+// previous contents. Building an empty set yields a grid with no cells.
 func (g *PointGrid) Build(points []Vec3, cell float64) {
-	g.points = points
-	g.cell = cell
 	if len(points) == 0 {
 		g.nx, g.ny, g.nz = 0, 0, 0
 		g.items = g.items[:0]
@@ -46,8 +41,8 @@ func (g *PointGrid) Build(points []Vec3, cell float64) {
 	size := box.Size()
 
 	// Grow the cell until the cell array stays proportional to the point
-	// count. Deterministic in the inputs, so queries (and the work
-	// counters of callers) are reproducible.
+	// count. Deterministic in the inputs, so the cell walk is
+	// reproducible.
 	// The count check runs in floating point: for extreme spreads the
 	// integer per-axis product overflows before the first doubling.
 	limit := float64(maxCellsFactor*len(points) + 64)
@@ -123,48 +118,6 @@ func (g *PointGrid) cellOf(p Vec3) int {
 	return (x*g.ny+y)*g.nz + z
 }
 
-// Len returns the number of indexed points.
-func (g *PointGrid) Len() int { return len(g.items) }
-
-// CellSize returns the effective cell size (it may exceed the size passed
-// to Build when the spread of the points forced coarser cells).
-func (g *PointGrid) CellSize() float64 { return g.cell }
-
-// CellRange returns the inclusive cell-coordinate bounds of the cells
-// intersecting box, clamped to the grid. ok is false when box misses the
-// grid entirely (or the grid is empty).
-func (g *PointGrid) CellRange(box AABB) (lo, hi [3]int, ok bool) {
-	if g.nx == 0 || box.IsEmpty() {
-		return lo, hi, false
-	}
-	dims := [3]int{g.nx, g.ny, g.nz}
-	min := [3]float64{box.Min.X - g.min.X, box.Min.Y - g.min.Y, box.Min.Z - g.min.Z}
-	max := [3]float64{box.Max.X - g.min.X, box.Max.Y - g.min.Y, box.Max.Z - g.min.Z}
-	for a := 0; a < 3; a++ {
-		l := int(math.Floor(min[a] * g.inv))
-		h := int(math.Floor(max[a] * g.inv))
-		if h < 0 || l >= dims[a] {
-			return lo, hi, false
-		}
-		if l < 0 {
-			l = 0
-		}
-		if h >= dims[a] {
-			h = dims[a] - 1
-		}
-		lo[a], hi[a] = l, h
-	}
-	return lo, hi, true
-}
-
-// Cell returns the indices (into the Build points) bucketed in cell
-// (x, y, z), ascending. The coordinates must lie inside the ranges
-// reported by CellRange.
-func (g *PointGrid) Cell(x, y, z int) []int32 {
-	c := (x*g.ny+y)*g.nz + z
-	return g.items[g.starts[c]:g.starts[c+1]]
-}
-
 // WalkCells calls fn for every grid cell in flat index order (x-major,
 // then y, then z — so consecutive calls are pencils of spatially adjacent
 // cells) with the cell's bucketed point indices, ascending. Empty cells
@@ -174,62 +127,4 @@ func (g *PointGrid) WalkCells(fn func(members []int32)) {
 	for c := 0; c < ncells; c++ {
 		fn(g.items[g.starts[c]:g.starts[c+1]])
 	}
-}
-
-// CellMinDist2 returns the squared distance from p to the closest point
-// of cell (x, y, z)'s cube, zero when p is inside it. Callers use it to
-// cull cells that cannot intersect a query ball.
-func (g *PointGrid) CellMinDist2(x, y, z int, p Vec3) float64 {
-	var d2 float64
-	lo := g.min.X + float64(x)*g.cell
-	if d := lo - p.X; d > 0 {
-		d2 += d * d
-	} else if d := p.X - (lo + g.cell); d > 0 {
-		d2 += d * d
-	}
-	lo = g.min.Y + float64(y)*g.cell
-	if d := lo - p.Y; d > 0 {
-		d2 += d * d
-	} else if d := p.Y - (lo + g.cell); d > 0 {
-		d2 += d * d
-	}
-	lo = g.min.Z + float64(z)*g.cell
-	if d := lo - p.Z; d > 0 {
-		d2 += d * d
-	} else if d := p.Z - (lo + g.cell); d > 0 {
-		d2 += d * d
-	}
-	return d2
-}
-
-// AppendWithin appends to dst the indices of all points with
-// dist(points[i], center) <= r, excluding exclude (pass a negative value
-// to exclude nothing), and returns the extended slice. Results are ordered
-// by cell block and ascending index within each cell — a deterministic
-// order independent of query history.
-func (g *PointGrid) AppendWithin(dst []int32, center Vec3, r float64, exclude int) []int32 {
-	if r < 0 {
-		return dst
-	}
-	e := Vec3{r, r, r}
-	lo, hi, ok := g.CellRange(AABB{Min: center.Sub(e), Max: center.Add(e)})
-	if !ok {
-		return dst
-	}
-	r2 := r * r
-	for x := lo[0]; x <= hi[0]; x++ {
-		for y := lo[1]; y <= hi[1]; y++ {
-			for z := lo[2]; z <= hi[2]; z++ {
-				if g.CellMinDist2(x, y, z, center) > r2 {
-					continue
-				}
-				for _, n := range g.Cell(x, y, z) {
-					if int(n) != exclude && g.points[n].Dist2(center) <= r2 {
-						dst = append(dst, n)
-					}
-				}
-			}
-		}
-	}
-	return dst
 }

@@ -1,7 +1,9 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -15,78 +17,35 @@ func randPoints(rng *rand.Rand, n int, spread float64) []Vec3 {
 	return pts
 }
 
-// bruteWithin is the reference for AppendWithin.
-func bruteWithin(pts []Vec3, center Vec3, r float64, exclude int) []int32 {
-	var out []int32
-	for i, p := range pts {
-		if i != exclude && p.Dist2(center) <= r*r {
-			out = append(out, int32(i))
-		}
-	}
-	return out
+// walk collects the grid's cells in WalkCells order.
+func walk(g *PointGrid) [][]int32 {
+	var cells [][]int32
+	g.WalkCells(func(members []int32) { cells = append(cells, members) })
+	return cells
 }
 
-func TestPointGridMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(200)
-		spread := 0.1 + rng.Float64()*20
-		pts := randPoints(rng, n, spread)
-		cell := 0.05 + rng.Float64()*spread
-		var g PointGrid
-		g.Build(pts, cell)
-		if g.Len() != n {
-			t.Fatalf("trial %d: indexed %d of %d points", trial, g.Len(), n)
-		}
-		for q := 0; q < 20; q++ {
-			center := V(rng.Float64()*spread-spread/2, rng.Float64()*spread-spread/2,
-				rng.Float64()*spread-spread/2)
-			r := rng.Float64() * spread / 2
-			exclude := rng.Intn(n+1) - 1
-			got := g.AppendWithin(nil, center, r, exclude)
-			want := bruteWithin(pts, center, r, exclude)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d query %d: got %d points, want %d", trial, q, len(got), len(want))
-			}
-			seen := map[int32]bool{}
-			for _, i := range got {
-				seen[i] = true
-			}
-			for _, i := range want {
-				if !seen[i] {
-					t.Fatalf("trial %d query %d: missing index %d", trial, q, i)
-				}
-			}
-		}
-	}
-}
-
+// TestPointGridCellsPartitionThePoints: WalkCells visits every point
+// exactly once, in ascending index order within a cell, and each point
+// lies inside the cube of the cell it is bucketed in.
 func TestPointGridCellsPartitionThePoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	pts := randPoints(rng, 300, 5)
 	var g PointGrid
 	g.Build(pts, 0.7)
-	lo, hi, ok := g.CellRange(BoundingBox(pts))
-	if !ok {
-		t.Fatal("bbox misses its own grid")
-	}
 	seen := make([]int, len(pts))
-	for x := lo[0]; x <= hi[0]; x++ {
-		for y := lo[1]; y <= hi[1]; y++ {
-			for z := lo[2]; z <= hi[2]; z++ {
-				box := AABB{
-					Min: g.min.Add(V(float64(x)*g.cell, float64(y)*g.cell, float64(z)*g.cell)),
-					Max: g.min.Add(V(float64(x+1)*g.cell, float64(y+1)*g.cell, float64(z+1)*g.cell)),
-				}
-				for _, n := range g.Cell(x, y, z) {
-					seen[n]++
-					if !box.Contains(pts[n]) {
-						t.Fatalf("point %d bucketed outside its cell", n)
-					}
-					if d := g.CellMinDist2(x, y, z, pts[n]); d != 0 {
-						t.Fatalf("member point %d at min-dist2 %g from its own cell", n, d)
-					}
-				}
+	for c, members := range walk(&g) {
+		x, y, z := c/(g.ny*g.nz), c/g.nz%g.ny, c%g.nz
+		box := AABB{
+			Min: g.min.Add(V(float64(x)*g.cell, float64(y)*g.cell, float64(z)*g.cell)),
+			Max: g.min.Add(V(float64(x+1)*g.cell, float64(y+1)*g.cell, float64(z+1)*g.cell)),
+		}
+		for i, n := range members {
+			seen[n]++
+			if i > 0 && members[i-1] >= n {
+				t.Fatalf("cell %d members not ascending: %v", c, members)
+			}
+			if !box.Contains(pts[n]) {
+				t.Fatalf("point %d bucketed outside its cell", n)
 			}
 		}
 	}
@@ -97,20 +56,48 @@ func TestPointGridCellsPartitionThePoints(t *testing.T) {
 	}
 }
 
+// TestPointGridMatchesBruteForce: over random inputs and cell sizes, each
+// walked cell holds exactly the points a brute-force scan places in it by
+// flooring their offsets from the grid origin (clamped on the far faces).
+func TestPointGridMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(200)
+		spread := 0.1 + rng.Float64()*20
+		pts := randPoints(rng, n, spread)
+		var g PointGrid
+		g.Build(pts, 0.05+rng.Float64()*spread)
+		cells := walk(&g)
+		if len(cells) != g.nx*g.ny*g.nz {
+			t.Fatalf("trial %d: walked %d cells of %d", trial, len(cells), g.nx*g.ny*g.nz)
+		}
+		want := make([][]int32, len(cells))
+		for i, p := range pts {
+			at := func(v, lo float64, dim int) int {
+				return min(int(math.Floor((v-lo)/g.cell)), dim-1)
+			}
+			c := (at(p.X, g.min.X, g.nx)*g.ny+at(p.Y, g.min.Y, g.ny))*g.nz + at(p.Z, g.min.Z, g.nz)
+			want[c] = append(want[c], int32(i))
+		}
+		for c := range cells {
+			if !slices.Equal(cells[c], want[c]) {
+				t.Fatalf("trial %d cell %d: walked %v, brute force %v", trial, c, cells[c], want[c])
+			}
+		}
+	}
+}
+
 func TestPointGridEmptyAndDegenerate(t *testing.T) {
 	var g PointGrid
 	g.Build(nil, 1)
-	if g.Len() != 0 {
-		t.Error("empty build has items")
-	}
-	if got := g.AppendWithin(nil, Zero, 10, -1); len(got) != 0 {
-		t.Errorf("query on empty grid returned %v", got)
+	if cells := walk(&g); len(cells) != 0 {
+		t.Errorf("empty build walks %d cells", len(cells))
 	}
 	// All points coincident: one cell, all indexed.
 	pts := []Vec3{V(1, 1, 1), V(1, 1, 1), V(1, 1, 1)}
 	g.Build(pts, 0.5)
-	if got := g.AppendWithin(nil, V(1, 1, 1), 0, -1); len(got) != 3 {
-		t.Errorf("coincident points: got %v", got)
+	if cells := walk(&g); len(cells) != 1 || len(cells[0]) != 3 {
+		t.Errorf("coincident points: got %v", cells)
 	}
 }
 
@@ -122,13 +109,16 @@ func TestPointGridCellBlowupGuard(t *testing.T) {
 	if cells := len(g.starts) - 1; cells > maxCellsFactor*len(pts)+64 {
 		t.Fatalf("cell array not bounded: %d cells", cells)
 	}
-	if got := g.AppendWithin(nil, Zero, 1, -1); len(got) != 1 || got[0] != 0 {
-		t.Errorf("query after coarsening: %v", got)
+	// Coarsened cells still bucket each point exactly once: the two
+	// corners land in the first and the last cell.
+	cells := walk(&g)
+	if first, last := cells[0], cells[len(cells)-1]; len(first) != 1 || first[0] != 0 || len(last) != 1 || last[0] != 1 {
+		t.Errorf("walk after coarsening: first %v, last %v", first, last)
 	}
 }
 
-// Rebuilding with same-magnitude input must not allocate (the UBF hot
-// path rebuilds the grid once per node).
+// Rebuilding with same-magnitude input must not allocate: Build reuses
+// the previous CSR buffers.
 func TestPointGridRebuildDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pts := randPoints(rng, 120, 4)

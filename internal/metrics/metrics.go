@@ -22,7 +22,7 @@ type evalScratch struct {
 	srcs []int
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
+var evalPool = sync.Pool{New: func() any { return new(evalScratch) }}
 
 // ErrLengthMismatch is returned when masks have different lengths.
 var ErrLengthMismatch = errors.New("metrics: masks must have equal length")
@@ -98,8 +98,8 @@ func (c Classification) String() string {
 // unreachable. hist[0] counts distance-1 nodes. Query nodes that are
 // themselves anchors count at distance 0 and are reported separately.
 func HopHistogram(g *graph.Graph, query []int, anchors []bool, maxHops int) (hist []int, atZero, beyond int) {
-	es := scratchPool.Get().(*evalScratch)
-	defer scratchPool.Put(es)
+	es := evalPool.Get().(*evalScratch)
+	defer evalPool.Put(es)
 	es.srcs = es.srcs[:0]
 	for i, a := range anchors {
 		if a {

@@ -32,11 +32,11 @@ func TestFTDCRoundTrip(t *testing.T) {
 	w := NewWriter(&buf)
 	samples := [][]obs.Metric{
 		doc("a", 1, "b", 100),
-		doc("a", 2, "b", 90),                       // plain delta
-		doc("a", 2, "b", 90, "c", 1),               // key appears: schema change
-		doc("a", -50, "b", 90, "c", 1000000),       // negative + big jump
-		doc("b", 91, "c", 1000001),                 // key disappears: schema change
-		doc("b", 91, "c", 1000001),                 // zero delta
+		doc("a", 2, "b", 90),                 // plain delta
+		doc("a", 2, "b", 90, "c", 1),         // key appears: schema change
+		doc("a", -50, "b", 90, "c", 1000000), // negative + big jump
+		doc("b", 91, "c", 1000001),           // key disappears: schema change
+		doc("b", 91, "c", 1000001),           // zero delta
 	}
 	for _, s := range samples {
 		if err := w.WriteSample(s); err != nil {

@@ -40,8 +40,8 @@ func histBucketOf(ns int64) int {
 	if u < histLinear {
 		return int(u)
 	}
-	b := bits.Len64(u)             // 4..64, since u >= 8
-	mant := u >> (uint(b) - 4)     // top 4 bits, in [8, 16)
+	b := bits.Len64(u)         // 4..64, since u >= 8
+	mant := u >> (uint(b) - 4) // top 4 bits, in [8, 16)
 	return histLinear + (b-4)*histSub + int(mant-histLinear)
 }
 

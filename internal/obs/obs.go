@@ -178,9 +178,6 @@ const (
 	// CtrNodesChecked counts UBF point-in-ball membership tests
 	// (Theorem 1's Θ(ρ³) quantity).
 	CtrNodesChecked
-	// CtrGridCells counts spatial-grid cells probed by the pruned
-	// emptiness test (zero on the brute path).
-	CtrGridCells
 	// CtrUBFBoundary counts nodes UBF marked as boundary candidates.
 	CtrUBFBoundary
 	// CtrBoundary counts nodes surviving IFF — the final boundary set.
@@ -270,7 +267,6 @@ var counterNames = [...]string{
 	CtrNodes:             "nodes",
 	CtrBallsTested:       "balls_tested",
 	CtrNodesChecked:      "nodes_checked",
-	CtrGridCells:         "grid_cells_probed",
 	CtrUBFBoundary:       "ubf_boundary",
 	CtrBoundary:          "boundary_nodes",
 	CtrGroups:            "groups",

@@ -229,7 +229,7 @@ func TestValidateTraceRejects(t *testing.T) {
 			`{"ev":"end","stage":"cell","label":"b","wall_ns":5,"seq":1,"ts_ns":2}`,
 		"unbalanced round":   `{"ev":"round_begin","stage":"iff","round":0,"seq":0,"ts_ns":1}`,
 		"round_end no stats": `{"ev":"round_end","stage":"iff","round":0,"seq":0,"ts_ns":1}`,
-		"round below init": `{"ev":"round_begin","stage":"iff","round":-2,"seq":0,"ts_ns":1}`,
+		"round below init":   `{"ev":"round_begin","stage":"iff","round":-2,"seq":0,"ts_ns":1}`,
 		"negative round stats": `{"ev":"round_begin","stage":"iff","round":0,"seq":0,"ts_ns":1}` + "\n" +
 			`{"ev":"round_end","stage":"iff","round":0,"stats":{"sent":-1,"delivered":0,"dropped":0,"duplicated":0,"delayed":0,"active":0},"seq":1,"ts_ns":2}`,
 		"unknown trans": `{"ev":"trans","stage":"iff","trans":"warp","node":1,"value":0,"seq":0,"ts_ns":1}`,
