@@ -81,9 +81,8 @@ trace-stat:
 # ephemeral port, POSTs a generated network over real HTTP, streams
 # scripted delta batches, and diffs every served boundary-group result
 # against a from-scratch detection of the same active node set — then
-# re-exercises the deprecated unprefixed routes and two non-incremental
-# detector sessions, one of which reads its cached mesh across a delta
-# batch. Nonzero exit on any divergence, HTTP failure, or trace schema
+# exercises two non-incremental detector sessions, one of which reads its
+# cached mesh across a delta batch. Nonzero exit on any divergence, HTTP failure, or trace schema
 # violation.
 serve-smoke:
 	$(GO) run ./cmd/boundaryd -smoke

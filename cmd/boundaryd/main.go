@@ -379,33 +379,14 @@ func smoke(w io.Writer, srv *serve.Server, opts options) error {
 	return nil
 }
 
-// smokeCompat exercises the deprecated unprefixed route family and a
-// non-paper detector session: the legacy list route must answer like /v1
-// while flagging its deprecation, and a session created through the
-// legacy create route with ?detector=sv-contour must serve that
-// detector's boundary, diffed against a from-scratch recompute after a
-// delta.
+// smokeCompat exercises a non-paper detector session: a session created
+// with ?detector=sv-contour must serve that detector's boundary, diffed
+// against a from-scratch recompute after a delta.
 func smokeCompat(w io.Writer, base string, envBody []byte, network *netgen.Network, opts options) error {
-	res, err := http.Get(base + "/sessions")
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, res.Body)
-	res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		return fmt.Errorf("legacy list: status %s", res.Status)
-	}
-	if dep := res.Header.Get("Deprecation"); dep != "true" {
-		return fmt.Errorf("legacy list: Deprecation header %q, want %q", dep, "true")
-	}
-	if link := res.Header.Get("Link"); !strings.Contains(link, "/v1/sessions") {
-		return fmt.Errorf("legacy list: Link header %q lacks the /v1 successor", link)
-	}
-
 	const detector = "sv-contour"
 	var created serve.Summary
-	if err := postJSON(base+"/sessions?detector="+detector, envBody, http.StatusCreated, &created); err != nil {
-		return fmt.Errorf("legacy create: %w", err)
+	if err := postJSON(base+"/v1/sessions?detector="+detector, envBody, http.StatusCreated, &created); err != nil {
+		return fmt.Errorf("%s create: %w", detector, err)
 	}
 	if created.Detector != detector {
 		return fmt.Errorf("session detector %q, want %q", created.Detector, detector)
@@ -459,7 +440,7 @@ func smokeCompat(w io.Writer, base string, envBody []byte, network *netgen.Netwo
 	if del.StatusCode != http.StatusOK {
 		return fmt.Errorf("delete %s session: status %s", detector, del.Status)
 	}
-	fmt.Fprintf(w, "smoke: legacy aliases deprecated, %s session OK (mesh 501)\n", detector)
+	fmt.Fprintf(w, "smoke: %s session OK (mesh 501)\n", detector)
 	return smokeFallbackMesh(w, base, envBody, network, opts)
 }
 

@@ -33,10 +33,12 @@ type Common struct {
 	// Workers bounds worker-pool parallelism (sweep engine and pipeline).
 	// 0 means one worker per CPU; results are identical at any width.
 	Workers int
-	// Shards selects the sharded detection engine: above 1 the node set
-	// is cut into that many spatial shards detected in parallel, with
-	// results bit-identical to the unsharded pipeline. 0 or 1 keeps the
-	// ordinary single-shard path.
+	// Shards selects the sharded schedule of detection's per-node stages:
+	// above 1 the node set is cut into that many spatial shards, and
+	// frames and UBF run shard-parallel; IFF and grouping run once over
+	// the whole network. Results, message counters included, are
+	// bit-identical to the unsharded run. 0 or 1 keeps the unsharded
+	// schedule.
 	Shards int
 	// Detector names the boundary-detection algorithm from the core
 	// registry ("" = the paper's UBF/IFF pipeline).

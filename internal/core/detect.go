@@ -130,16 +130,14 @@ type Config struct {
 	// result is independent of the worker count.
 	Workers int
 
-	// Shards, when above 1, runs the sharded detection engine: the node
-	// set is cut into that many spatial shards, each shard detects over
-	// its owned nodes plus a bounded ghost halo, and the per-shard results
-	// are stitched back together. The outcome is bit-identical to the
-	// unsharded pipeline for every shard and worker count. Like the
-	// default unsharded path, the sharded engine evaluates the flooding
-	// phases by direct traversal, but it has no global flood to account
-	// for: Async and Faults are ignored and the message/fault counters of
-	// the Result stay zero. Zero or 1 selects the ordinary single-shard
-	// pipeline. Requires a CapSharded detector.
+	// Shards, when above 1, schedules the per-node stages (frames and
+	// UBF) shard by shard: the node set is cut into that many spatial
+	// shards, and each shard runs them over its owned nodes plus a ghost
+	// halo of scope hops. IFF and grouping run once over the whole
+	// network, as without shards, so every Result field (message and
+	// fault counters included) equals the unsharded one for every shard
+	// and worker count, and Async and Faults apply unchanged. Zero or 1
+	// selects the unsharded schedule. Requires a CapSharded detector.
 	Shards int
 
 	// Detector selects the registered detection algorithm by name; ""
@@ -288,8 +286,7 @@ var (
 type frame struct {
 	members  []int
 	coords   []geom.Vec3
-	index    map[int]int // node ID -> position in members/coords
-	residual float64     // RMS measured-vs-embedded distance residual
+	residual float64 // RMS measured-vs-embedded distance residual
 }
 
 // Detect runs the full localized boundary-detection pipeline: local frames,
@@ -331,8 +328,10 @@ func DetectContext(ctx context.Context, o obs.Observer, net *netgen.Network, mea
 	return det.DetectContext(ctx, o, net, meas, cfg)
 }
 
-// paperDetect is the paper's UBF/IFF pipeline — the pre-registry
-// DetectContext body, unchanged. PaperDetector delegates here.
+// paperDetect is the paper's UBF/IFF pipeline. Frames and Unit Ball
+// Fitting (stages 1 and 2) are per node; Config.Shards only changes how
+// they are scheduled (shard.go). IFF and grouping (stages 3 and 4) are
+// network-wide floods and always run once, in filterAndGroup.
 func paperDetect(ctx context.Context, o obs.Observer, net *netgen.Network, meas *netgen.Measurement, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults(meas != nil)
 	if cfg.Coords == CoordsMDS && meas == nil {
@@ -346,9 +345,6 @@ func paperDetect(ctx context.Context, o obs.Observer, net *netgen.Network, meas 
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if cfg.Shards > 1 {
-		return detectSharded(ctx, o, net, meas, cfg)
 	}
 
 	detectSpan := obs.Start(o, obs.StageDetect)
@@ -366,12 +362,14 @@ func paperDetect(ctx context.Context, o obs.Observer, net *netgen.Network, meas 
 	tol := cfg.InteriorTolerance * radius
 
 	// Stage 1 (CoordsMDS only): every node builds its one-hop MDS frame.
-	var frames []frame
-	if cfg.Coords == CoordsMDS {
-		var err error
-		if frames, err = buildAllFrames(ctx, o, tab, cfg, res); err != nil {
-			return nil, err
-		}
+	// The schedule builds the frames and returns the loop stage 2 runs on.
+	schedule := nodeStages
+	if cfg.Shards > 1 {
+		schedule = shardedNodeStages
+	}
+	forEachNode, err := schedule(ctx, o, tab, cfg, res)
+	if err != nil {
+		return nil, err
 	}
 
 	// Stage 2: Unit Ball Fitting per node. Each worker owns a UBFScratch
@@ -380,13 +378,9 @@ func paperDetect(ctx context.Context, o obs.Observer, net *netgen.Network, meas 
 	ubfSpan := obs.Start(o, obs.StageUBF)
 	scratch := make([]UBFScratch, cfg.Workers)
 	asm := make([]assembleScratch, cfg.Workers)
-	err := par.For(n, cfg.Workers, func(w, i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		coords, candidates, spreads := assembleKnowledge(tab, cfg, frames, i, &asm[w])
-		fitNode(&scratch[w], res, i, coords, candidates, spreads, radius, tol, cfg.AdaptiveTolFactor)
-		return nil
+	err = forEachNode(func(w int, tab *NodeTable, frames []frame, l, g int) {
+		coords, candidates, spreads := assembleKnowledge(tab, cfg, frames, l, &asm[w])
+		fitNode(&scratch[w], res, g, coords, candidates, spreads, radius, tol, cfg.AdaptiveTolFactor)
 	})
 	reportUBF(o, res)
 	ubfSpan.End()
@@ -398,6 +392,37 @@ func paperDetect(ctx context.Context, o obs.Observer, net *netgen.Network, meas 
 		return nil, err
 	}
 	return res, nil
+}
+
+// nodeFit is stage 2's per-node body: it fits node l of tab, whose frames
+// (CoordsMDS; nil otherwise) are frames, and stores the verdict at global
+// ID g, on behalf of worker w.
+type nodeFit func(w int, tab *NodeTable, frames []frame, l, g int)
+
+// nodeLoop calls fit once for every node of the network, in parallel, and
+// stops at the first error (a cancelled context).
+type nodeLoop func(fit nodeFit) error
+
+// nodeStages is the unsharded schedule of stages 1 and 2: it builds every
+// node's frame (CoordsMDS) and returns the loop that fits every node of
+// the whole table, one node per work item. cfg carries defaults.
+func nodeStages(ctx context.Context, o obs.Observer, tab *NodeTable, cfg Config, res *Result) (nodeLoop, error) {
+	var frames []frame
+	if cfg.Coords == CoordsMDS {
+		var err error
+		if frames, err = buildAllFrames(ctx, o, tab, cfg, res); err != nil {
+			return nil, err
+		}
+	}
+	return func(fit nodeFit) error {
+		return par.For(tab.Len(), cfg.Workers, func(w, i int) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			fit(w, tab, frames, i, i)
+			return nil
+		})
+	}, nil
 }
 
 // fitNode runs Unit Ball Fitting over one node's assembled knowledge and
@@ -587,17 +612,8 @@ func buildAllFrames(ctx context.Context, o obs.Observer, tab *NodeTable, cfg Con
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		f, err := buildFrame(tab, cfg, i)
-		if err != nil {
+		if err := fillFrame(tab, cfg, frames, i, &res.CoordError[i]); err != nil {
 			return fmt.Errorf("node %d frame: %w", i, err)
-		}
-		frames[i] = f
-		truth := make([]geom.Vec3, len(f.members))
-		for k, m := range f.members {
-			truth[k] = tab.Pos[m]
-		}
-		if _, rmsd, aerr := geom.AlignRigid(f.coords, truth); aerr == nil {
-			res.CoordError[i] = rmsd
 		}
 		return nil
 	})
@@ -606,6 +622,29 @@ func buildAllFrames(ctx context.Context, o obs.Observer, tab *NodeTable, cfg Con
 		return nil, err
 	}
 	return frames, nil
+}
+
+// fillFrame is stage 1's per-node body: it builds node i's frame into
+// frames[i] and, when rmsd is non-nil, stores the frame's RMSD against the
+// true positions after rigid alignment there (left as is when the
+// alignment fails).
+func fillFrame(tab *NodeTable, cfg Config, frames []frame, i int, rmsd *float64) error {
+	f, err := buildFrame(tab, cfg, i)
+	if err != nil {
+		return err
+	}
+	frames[i] = f
+	if rmsd == nil {
+		return nil
+	}
+	truth := make([]geom.Vec3, len(f.members))
+	for k, m := range f.members {
+		truth[k] = tab.Pos[m]
+	}
+	if _, e, aerr := geom.AlignRigid(f.coords, truth); aerr == nil {
+		*rmsd = e
+	}
+	return nil
 }
 
 // buildFrame embeds node i's closed one-hop neighborhood from measured
@@ -619,14 +658,9 @@ func buildFrame(tab *NodeTable, cfg Config, i int) (frame, error) {
 	if err != nil {
 		return frame{}, err
 	}
-	index := make(map[int]int, len(members))
-	for k, m := range members {
-		index[m] = k
-	}
 	return frame{
 		members:  members,
 		coords:   coords,
-		index:    index,
 		residual: mds.ResidualRMS(coords, dist),
 	}, nil
 }

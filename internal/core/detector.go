@@ -20,8 +20,8 @@ import (
 type DetectorCaps uint32
 
 const (
-	// CapSharded: the detector honors Config.Shards > 1 (spatial shards
-	// with bit-identical stitch-back).
+	// CapSharded: the detector honors Config.Shards > 1 (its per-node
+	// stages run over spatial shards, with bit-identical results).
 	CapSharded DetectorCaps = 1 << iota
 	// CapIncremental: the detector backs core.Incremental's dirty-region
 	// repair, so a boundaryd session can apply deltas without full

@@ -15,9 +15,10 @@ package core
 // live adjacency restricted to a member set kept in step with the UBF
 // verdicts.
 //
-// Bit-identity with a full recompute over the active nodes rests on the
-// same locality facts the sharded engine documents in shard.go, applied in
-// Euclidean rather than hop terms (a hop spans at most the radio range R):
+// Bit-identity with a full recompute over the active nodes rests on
+// locality — the UBF fact behind the sharded schedule's halo (shard.go),
+// extended to IFF — applied in Euclidean rather than hop terms (a hop spans
+// at most the radio range R):
 //
 //  1. UBF locality: node u's verdict is a function of the positions of its
 //     scope-hop neighborhood (members within scopeHops hops, so within
@@ -35,9 +36,10 @@ package core
 //  3. Stable IDs are a monotone renaming of the compacted active network:
 //     node IDs are never reused or renumbered, and adjacency rows are kept
 //     sorted ascending with exactly netgen's connectivity predicate
-//     (Dist2 <= R², self excluded), so every scan order, tie-break and
-//     floating-point operation sequence matches a from-scratch
-//     DetectContext run over the active nodes. The differential suite in
+//     (Dist2 <= R², self excluded, over the same geom.HashGrid range
+//     query), so every scan order, tie-break and floating-point operation
+//     sequence matches a from-scratch DetectContext run over the active
+//     nodes. The differential suite in
 //     incremental_differential_test.go enforces this after every delta.
 //
 // The dirty-ball radii carry a 1e-9 relative slack: hop counts bound the
@@ -45,8 +47,8 @@ package core
 // rounding of the distance comparison for configurations sitting exactly
 // on the bound. Enlarging the dirty set is always safe (fact 1).
 //
-// Like the sharded engine, the dirty-region repair evaluates the flooding
-// phases by direct bounded traversal (IFF) and union-find (grouping), and
+// The dirty-region repair evaluates the flooding phases by direct bounded
+// traversal (IFF) and a min-ID union-find (grouping, stitchGroups), and
 // keeps no global message accounting: Async and Faults are ignored. On
 // either repair the message/fault counters of snapshots stay zero.
 //
@@ -164,8 +166,8 @@ type Incremental struct {
 
 	pos    []geom.Vec3 // by stable ID, append-only
 	active []bool
-	adj    [][]int32 // active↔active edges, rows sorted ascending
-	grid   incGrid   // active nodes, cell size R
+	adj    [][]int32      // active↔active edges, rows sorted ascending
+	grid   *geom.HashGrid // active nodes, cell size R
 
 	// Cached per-node detection state, by stable ID. Inactive nodes hold
 	// false/zero everywhere.
@@ -251,9 +253,9 @@ func NewIncrementalContext(ctx context.Context, o obs.Observer, net *netgen.Netw
 		}
 		inc.adj[i] = r32
 	}
-	inc.grid.init(net.Radius)
+	inc.grid = geom.NewHashGrid(net.Radius, n)
 	for i, p := range inc.pos {
-		inc.grid.insert(int32(i), p)
+		inc.grid.Insert(int32(i), p)
 	}
 	inc.adopt(res, inc.ActiveIDs())
 	inc.scratch = make([]incScratch, inc.workers)
@@ -297,7 +299,7 @@ func (inc *Incremental) ApplyContext(ctx context.Context, o obs.Observer, d Delt
 		inc.balls = append(inc.balls, 0)
 		inc.checked = append(inc.checked, 0)
 		inc.members.Grow(len(inc.pos))
-		inc.grid.insert(int32(id), d.Pos)
+		inc.grid.Insert(int32(id), d.Pos)
 		nbrs := inc.neighborsOf(d.Pos, int32(id))
 		inc.adj[id] = nbrs
 		for _, nb := range nbrs {
@@ -319,7 +321,7 @@ func (inc *Incremental) ApplyContext(ctx context.Context, o obs.Observer, d Delt
 		}
 		inc.adj[id] = nil
 		inc.active[id] = false
-		inc.grid.remove(int32(id), old)
+		inc.grid.Remove(int32(id), old)
 		inc.ubf[id] = false
 		inc.members.Remove(id)
 		inc.boundary[id] = false
@@ -336,8 +338,8 @@ func (inc *Incremental) ApplyContext(ctx context.Context, o obs.Observer, d Delt
 			return -1, fmt.Errorf("%w: move to %v", ErrBadPosition, d.Pos)
 		}
 		old := inc.pos[id]
-		inc.grid.remove(int32(id), old)
-		inc.grid.insert(int32(id), d.Pos)
+		inc.grid.Remove(int32(id), old)
+		inc.grid.Insert(int32(id), d.Pos)
 		inc.pos[id] = d.Pos
 		oldRow := inc.adj[id]
 		newRow := inc.neighborsOf(d.Pos, int32(id))
@@ -514,23 +516,57 @@ func scatter[T any](dst, src []T, ids []int) []T {
 	return dst
 }
 
-// regroup rebuilds the boundary grouping from the current boundary mask,
-// reusing the sharded engine's union-find stitch (min-ID roots, so the
-// labels match the propagation protocol bit for bit).
+// regroup rebuilds the boundary grouping from the current boundary mask.
 func (inc *Incremental) regroup() {
-	var edges [][2]int32
-	for u := range inc.pos {
-		if !inc.boundary[u] {
+	inc.groupLabel = stitchGroups(inc.boundary, inc.adj)
+	inc.groups = sim.Groups(inc.groupLabel)
+}
+
+// stitchGroups labels the components of the boundary nodes over the
+// boundary-to-boundary edges of adj with union-find, attaching the larger
+// root under the smaller so each component's root is its minimum ID — the
+// label the grouping protocol (LabelComponents) converges to. The outcome
+// is independent of edge order. Non-boundary nodes get sim.NoGroup.
+func stitchGroups(boundary []bool, adj [][]int32) []int {
+	n := len(boundary)
+	parent := make([]int32, n)
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]] // path halving
+			x = parent[x]
+		}
+		return x
+	}
+	for u, row := range adj {
+		if !boundary[u] {
 			continue
 		}
-		for _, v := range inc.adj[u] {
-			if inc.boundary[v] {
-				edges = append(edges, [2]int32{int32(u), v})
+		for _, v := range row {
+			if !boundary[v] {
+				continue
+			}
+			ra, rb := find(int32(u)), find(v)
+			switch {
+			case ra == rb:
+			case ra < rb:
+				parent[rb] = ra
+			default:
+				parent[ra] = rb
 			}
 		}
 	}
-	inc.groupLabel = stitchGroups(len(inc.pos), inc.boundary, [][][2]int32{edges})
-	inc.groups = sim.Groups(inc.groupLabel)
+	label := make([]int, n)
+	for i := range label {
+		if boundary[i] {
+			label[i] = int(find(int32(i)))
+		} else {
+			label[i] = sim.NoGroup
+		}
+	}
+	return label
 }
 
 // collectDirty gathers the active nodes within bound of any changed
@@ -551,7 +587,7 @@ func (inc *Incremental) collectDirty(dst []int32, changed []geom.Vec3, bound flo
 	}
 	stamp, e := inc.stamp, inc.epoch
 	for _, p := range changed {
-		inc.grid.forNear(inc.pos, p, bound, func(id int32) {
+		inc.grid.VisitNear(inc.pos, p, bound, func(id int32) {
 			if stamp[id] == e {
 				return
 			}
@@ -571,7 +607,7 @@ func (inc *Incremental) collectDirty(dst []int32, changed []geom.Vec3, bound flo
 // predicate (Dist2 <= R²) over the active set.
 func (inc *Incremental) neighborsOf(p geom.Vec3, self int32) []int32 {
 	var nbrs []int32
-	inc.grid.forNear(inc.pos, p, inc.radius, func(id int32) {
+	inc.grid.VisitNear(inc.pos, p, inc.radius, func(id int32) {
 		if id != self {
 			nbrs = append(nbrs, id)
 		}
@@ -715,69 +751,4 @@ func removeSorted(row []int32, v int32) []int32 {
 		return row
 	}
 	return append(row[:at], row[at+1:]...)
-}
-
-// incGrid is a dynamic uniform hash grid over the active nodes, cell size
-// equal to the radio range — the mutable counterpart of netgen's
-// spatialGrid, answering range queries for connectivity updates and
-// dirty-region collection.
-type incGrid struct {
-	cell  float64
-	cells map[incCell][]int32
-}
-
-type incCell struct{ x, y, z int32 }
-
-func (g *incGrid) init(cell float64) {
-	g.cell = cell
-	g.cells = make(map[incCell][]int32, 64)
-}
-
-func (g *incGrid) keyOf(p geom.Vec3) incCell {
-	return incCell{
-		x: int32(math.Floor(p.X / g.cell)),
-		y: int32(math.Floor(p.Y / g.cell)),
-		z: int32(math.Floor(p.Z / g.cell)),
-	}
-}
-
-func (g *incGrid) insert(id int32, p geom.Vec3) {
-	k := g.keyOf(p)
-	g.cells[k] = append(g.cells[k], id)
-}
-
-func (g *incGrid) remove(id int32, p geom.Vec3) {
-	k := g.keyOf(p)
-	cell := g.cells[k]
-	for i, v := range cell {
-		if v == id {
-			cell[i] = cell[len(cell)-1]
-			cell = cell[:len(cell)-1]
-			break
-		}
-	}
-	if len(cell) == 0 {
-		delete(g.cells, k)
-	} else {
-		g.cells[k] = cell
-	}
-}
-
-// forNear calls fn for every indexed node within r of p (cell visitation
-// order is map order — callers sort or deduplicate as needed).
-func (g *incGrid) forNear(pos []geom.Vec3, p geom.Vec3, r float64, fn func(id int32)) {
-	lo := g.keyOf(geom.Vec3{X: p.X - r, Y: p.Y - r, Z: p.Z - r})
-	hi := g.keyOf(geom.Vec3{X: p.X + r, Y: p.Y + r, Z: p.Z + r})
-	r2 := r * r
-	for x := lo.x; x <= hi.x; x++ {
-		for y := lo.y; y <= hi.y; y++ {
-			for z := lo.z; z <= hi.z; z++ {
-				for _, id := range g.cells[incCell{x, y, z}] {
-					if pos[id].Dist2(p) <= r2 {
-						fn(id)
-					}
-				}
-			}
-		}
-	}
 }

@@ -57,7 +57,7 @@ func TestDetectShardsExceedNodeCount(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d over %d nodes: %v", net.Len()+7, net.Len(), err)
 		}
-		diffResults(t, "shards>nodes", base, over, msgZero)
+		diffResults(t, "shards>nodes", base, over, msgEqual)
 	}
 }
 

@@ -1,42 +1,35 @@
 package core
 
-// The sharded detection engine: the node set is cut into spatial shards
-// (internal/partition over geom.PointGrid), each shard materializes a
-// compacted struct-of-arrays view of its owned nodes plus a bounded ghost
-// halo, the per-node phases run shard-parallel over those views, and the
-// boundary groups are stitched back together with a deterministic
-// union-find merge.
+// Sharded scheduling of the per-node stages. Under Config.Shards > 1 the
+// node set is cut into spatial shards (internal/partition over
+// geom.PointGrid), each shard materializes a compacted struct-of-arrays
+// view of its owned nodes plus a ghost halo, and frames (stage 1) and Unit
+// Ball Fitting (stage 2) run shard-parallel over those views. Sharding
+// schedules those two stages and nothing more: IFF and grouping are
+// network-wide floods and run once, in filterAndGroup, exactly as on the
+// unsharded path. A sharded Result therefore equals the unsharded one in
+// every field, message and fault counters included, and Async and Faults
+// are honoured as usual.
 //
-// Bit-identity with the unsharded pipeline rests on three facts, spelled
-// out here because every test in shard_differential_test.go enforces them:
+// Bit-identity of the per-node stages rests on three facts, spelled out
+// here because every test in shard_differential_test.go enforces them:
 //
 //  1. Locality (the paper's Sec. II): a node's UBF verdict reads its
-//     two-hop neighborhood at most (coordinates of the frames it stitches),
-//     and its IFF count reads the members within IFFTTL hops. A view at
-//     halo depth D = max(scope hops, IFFTTL) therefore contains every node
-//     any owned-node computation dereferences.
+//     scope-hop neighborhood at most (under CoordsMDS, the frames of its
+//     one-hop neighbors, each built from that neighbor's one-hop
+//     neighborhood). A view at halo depth D = scope hops therefore contains
+//     every node any owned-node computation dereferences.
 //  2. Edge completeness: a view keeps exactly the global adjacency
 //     restricted to its node set, so any edge whose endpoints are both in
 //     the view survives compaction — and every node at view depth d < D has
 //     its *entire* global row present (its neighbors sit at depth ≤ d+1).
-//     Traversals that only expand nodes below the halo boundary behave
-//     exactly as on the full graph.
+//     Neighborhood reads that only expand nodes below the halo boundary
+//     behave exactly as on the full graph.
 //  3. Monotone renaming: view nodes are sorted by global ID, so local IDs
 //     are an order-preserving relabeling. Every order the pipeline's
 //     kernels depend on — adjacency scan order, two-hop first-appearance
-//     order, MDS member order, grid insertion order — is preserved, and
-//     with it every tie-break, work counter, and floating-point operation
-//     sequence.
-//
-// The flooding phases are evaluated by direct traversal, as on the default
-// unsharded path (flood.go): IFF by the same per-member TTL-bounded BFS
-// kernel (iffFlood) run on each view with the member set as filter, and
-// grouping by a union-find stitch of the shards' boundary edges. The
-// protocols compute graph quantities — |members within TTL hops through
-// members| and per-component minimum IDs — that the traversals reproduce
-// exactly. A sharded run has no single global flood to account for, so
-// Async and Faults are ignored and Result.IFFMessages/GroupingMessages/
-// FaultStats stay zero.
+//     order, MDS member order — is preserved, and with it every tie-break,
+//     work counter, and floating-point operation sequence.
 
 import (
 	"context"
@@ -45,11 +38,9 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/graph"
-	"repro/internal/netgen"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/partition/shard"
-	"repro/internal/sim"
 )
 
 // shardView is one shard's compacted working set: struct-of-arrays tables
@@ -70,23 +61,13 @@ type shardView struct {
 	frames []frame
 }
 
-// maxShardHalo bounds the halo depth the sharded engine accepts; beyond it
-// (an absurd IFFTTL) the halo would swallow the whole graph anyway, so the
-// run falls back to the unsharded pipeline.
-const maxShardHalo = 120
-
 // shardHaloDepth returns the ghost-halo depth a configuration needs: the
-// emptiness-knowledge scope in hops, or the IFF flood's TTL, whichever
-// reaches farther.
+// emptiness-knowledge scope in hops.
 func shardHaloDepth(cfg Config) int {
-	d := 1
 	if cfg.Scope == ScopeTwoHop {
-		d = 2
+		return 2
 	}
-	if cfg.IFFThreshold >= 0 && cfg.IFFTTL > d {
-		d = cfg.IFFTTL
-	}
-	return d
+	return 1
 }
 
 // buildShardView compacts shard s of the partition into local tables:
@@ -141,30 +122,11 @@ func buildShardView(tab *NodeTable, shd *shard.Sharding, s, depthHops int, sc *g
 	return v, nil
 }
 
-// detectSharded is the Config.Shards > 1 execution path of DetectContext:
-// same contract, same result bits, spatially sharded execution. cfg arrives
-// validated and with defaults applied.
-func detectSharded(ctx context.Context, o obs.Observer, net *netgen.Network, meas *netgen.Measurement, cfg Config) (*Result, error) {
-	depthHops := shardHaloDepth(cfg)
-	if depthHops > maxShardHalo {
-		cfg.Shards = 1
-		return DetectContext(ctx, o, net, meas, cfg)
-	}
-
-	detectSpan := obs.Start(o, obs.StageDetect)
-	defer detectSpan.End()
-
-	tab := NewNodeTable(net, meas)
-	n := tab.Len()
-	obs.Add(o, obs.StageDetect, obs.CtrNodes, int64(n))
-	res := &Result{
-		UBF:          make([]bool, n),
-		BallsTested:  make([]int, n),
-		NodesChecked: make([]int, n),
-	}
-	radius := cfg.BallRadiusFactor * (1 + cfg.Epsilon) * tab.Radius
-	tol := cfg.InteriorTolerance * radius
-
+// shardedNodeStages is the Config.Shards > 1 schedule of stages 1 and 2:
+// it partitions the volume, builds every shard's view and, under
+// CoordsMDS, the frames each view needs, then returns the loop that fits
+// every shard's owned nodes. cfg carries defaults.
+func shardedNodeStages(ctx context.Context, o obs.Observer, tab *NodeTable, cfg Config, res *Result) (nodeLoop, error) {
 	// Partition the volume and materialize every shard's view. Empty
 	// shards (more shards than populated grid regions) stay nil.
 	partSpan := obs.Start(o, obs.StagePartition)
@@ -173,6 +135,7 @@ func detectSharded(ctx context.Context, o obs.Observer, net *netgen.Network, mea
 		partSpan.End()
 		return nil, err
 	}
+	depthHops := shardHaloDepth(cfg)
 	views := make([]*shardView, cfg.Shards)
 	scratch := make([]graph.Scratch, cfg.Workers)
 	err = par.For(cfg.Shards, cfg.Workers, func(w, s int) error {
@@ -209,7 +172,7 @@ func detectSharded(ctx context.Context, o obs.Observer, net *netgen.Network, mea
 	// its inputs, and fact 3 above keeps the inputs identical.
 	if cfg.Coords == CoordsMDS {
 		framesSpan := obs.Start(o, obs.StageFrames)
-		res.CoordError = make([]float64, n)
+		res.CoordError = make([]float64, tab.Len())
 		frameDepth := int8(0)
 		if cfg.Scope == ScopeTwoHop {
 			frameDepth = 1
@@ -220,27 +183,19 @@ func detectSharded(ctx context.Context, o obs.Observer, net *netgen.Network, mea
 				return nil
 			}
 			v.frames = make([]frame, len(v.glob))
-			for l := range v.glob {
+			for l, g := range v.glob {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 				if v.depth[l] > frameDepth {
 					continue
 				}
-				f, ferr := buildFrame(&v.tab, cfg, l)
-				if ferr != nil {
-					return fmt.Errorf("node %d frame: %w", v.glob[l], ferr)
+				var rmsd *float64
+				if v.depth[l] == 0 {
+					rmsd = &res.CoordError[g]
 				}
-				v.frames[l] = f
-				if v.depth[l] != 0 {
-					continue
-				}
-				truth := make([]geom.Vec3, len(f.members))
-				for k, m := range f.members {
-					truth[k] = v.tab.Pos[m]
-				}
-				if _, rmsd, aerr := geom.AlignRigid(f.coords, truth); aerr == nil {
-					res.CoordError[v.glob[l]] = rmsd
+				if err := fillFrame(&v.tab, cfg, v.frames, l, rmsd); err != nil {
+					return fmt.Errorf("node %d frame: %w", g, err)
 				}
 			}
 			return nil
@@ -251,172 +206,22 @@ func detectSharded(ctx context.Context, o obs.Observer, net *netgen.Network, mea
 		}
 	}
 
-	// Stage 2: Unit Ball Fitting, per shard over owned nodes. Worker
-	// scratch is shared across shards; the epoch-stamped buffers re-arm
-	// per node regardless of the view size changing underneath them.
-	ubfSpan := obs.Start(o, obs.StageUBF)
-	ubfScratch := make([]UBFScratch, cfg.Workers)
-	asm := make([]assembleScratch, cfg.Workers)
-	err = par.For(cfg.Shards, cfg.Workers, func(w, s int) error {
-		v := views[s]
-		if v == nil {
-			return nil
-		}
-		for _, l32 := range v.owned {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			l := int(l32)
-			coords, candidates, spreads := assembleKnowledge(&v.tab, cfg, v.frames, l, &asm[w])
-			fitNode(&ubfScratch[w], res, int(v.glob[l]), coords, candidates, spreads, radius, tol, cfg.AdaptiveTolFactor)
-		}
-		return nil
-	})
-	reportUBF(o, res)
-	ubfSpan.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage 3: Isolated Fragment Filtering. The UBF barrier above is the
-	// halo exchange: every shard now reads the global verdicts for its
-	// ghosts. Each owned member's fragment size is the node count of a
-	// depth-TTL BFS restricted to members — exactly the set of origins the
-	// flooding protocol delivers to it (distance through member nodes,
-	// self included at distance zero).
-	res.Boundary = make([]bool, n)
-	iffSpan := obs.Start(o, obs.StageIFF)
-	if cfg.IFFThreshold < 0 {
-		copy(res.Boundary, res.UBF)
-		res.FragmentSize = make([]int, n)
-	} else {
-		counts := make([]int, n)
-		members := make([]graph.NodeSet, cfg.Workers)
-		err = par.For(cfg.Shards, cfg.Workers, func(w, s int) error {
+	// Stage 2 runs per shard over its owned nodes. Worker scratch is
+	// shared across shards; the epoch-stamped buffers re-arm per node
+	// regardless of the view size changing underneath them.
+	return func(fit nodeFit) error {
+		return par.For(cfg.Shards, cfg.Workers, func(w, s int) error {
 			v := views[s]
 			if v == nil {
 				return nil
 			}
-			mset := &members[w]
-			mset.Reset(len(v.glob))
-			for l, g := range v.glob {
-				if res.UBF[g] {
-					mset.Add(l)
-				}
-			}
-			for _, l32 := range v.owned {
+			for _, l := range v.owned {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				g := v.glob[l32]
-				if !res.UBF[g] {
-					continue
-				}
-				counts[g] = iffFlood(v.tab.CSR, &scratch[w], mset, int(l32), cfg.IFFTTL)
+				fit(w, &v.tab, v.frames, int(l), int(v.glob[l]))
 			}
 			return nil
 		})
-		if err != nil {
-			iffSpan.End()
-			return nil, err
-		}
-		res.FragmentSize = counts
-		for i := range res.Boundary {
-			res.Boundary[i] = res.UBF[i] && counts[i] >= cfg.IFFThreshold
-			if res.UBF[i] && !res.Boundary[i] {
-				obs.NodeTransition(o, obs.StageIFF, obs.TransIFFRescind, i, int64(counts[i]))
-			}
-		}
-	}
-	if o != nil {
-		var final int64
-		for _, b := range res.Boundary {
-			if b {
-				final++
-			}
-		}
-		obs.Add(o, obs.StageIFF, obs.CtrBoundary, final)
-	}
-	iffSpan.End()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Stage 4: grouping. Each shard emits the boundary edges incident to
-	// its owned nodes (owned rows are complete, so every boundary edge is
-	// emitted by at least one endpoint's owner); the stitch is a
-	// union-find merge keeping the smallest ID as each component's root,
-	// which reproduces the min-ID labels of the propagation protocol in
-	// any merge order.
-	groupSpan := obs.Start(o, obs.StageGrouping)
-	shardEdges := make([][][2]int32, cfg.Shards)
-	err = par.For(cfg.Shards, cfg.Workers, func(_, s int) error {
-		v := views[s]
-		if v == nil {
-			return nil
-		}
-		var edges [][2]int32
-		for _, l32 := range v.owned {
-			g := v.glob[l32]
-			if !res.Boundary[g] {
-				continue
-			}
-			for _, nb := range v.tab.CSR.Neighbors(int(l32)) {
-				gb := v.glob[nb]
-				if res.Boundary[gb] {
-					edges = append(edges, [2]int32{g, gb})
-				}
-			}
-		}
-		shardEdges[s] = edges
-		return nil
-	})
-	if err != nil {
-		groupSpan.End()
-		return nil, err
-	}
-	res.GroupLabel = stitchGroups(n, res.Boundary, shardEdges)
-	res.Groups = sim.Groups(res.GroupLabel)
-	obs.Add(o, obs.StageGrouping, obs.CtrGroups, int64(len(res.Groups)))
-	groupSpan.End()
-	return res, nil
-}
-
-// stitchGroups merges the shards' boundary-edge lists with union-find,
-// attaching the larger root under the smaller so each component's root is
-// its minimum ID — the label LabelComponents converges to. The outcome is
-// independent of edge order, hence of shard count and scheduling.
-func stitchGroups(n int, boundary []bool, shardEdges [][][2]int32) []int {
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
-	}
-	for _, edges := range shardEdges {
-		for _, e := range edges {
-			ra, rb := find(e[0]), find(e[1])
-			switch {
-			case ra == rb:
-			case ra < rb:
-				parent[rb] = ra
-			default:
-				parent[ra] = rb
-			}
-		}
-	}
-	label := make([]int, n)
-	for i := range label {
-		if boundary[i] {
-			label[i] = int(find(int32(i)))
-		} else {
-			label[i] = sim.NoGroup
-		}
-	}
-	return label
+	}, nil
 }

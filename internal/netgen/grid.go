@@ -1,62 +1,33 @@
 package netgen
 
-import (
-	"math"
+import "repro/internal/geom"
 
-	"repro/internal/geom"
-)
-
-// cellKey addresses one cell of the spatial hash grid.
-type cellKey struct{ x, y, z int32 }
-
-// spatialGrid is a uniform hash grid over 3D points with cell size equal to
-// the query radius, so every radius query inspects at most 27 cells.
+// spatialGrid indexes a fixed point set in a uniform hash grid whose cell
+// size equals the query radius, so every radius query inspects at most 27
+// cells.
 type spatialGrid struct {
-	cell   float64
 	points []geom.Vec3
-	cells  map[cellKey][]int
+	grid   *geom.HashGrid
 }
 
 // newSpatialGrid indexes the given points with the given cell size (> 0).
 func newSpatialGrid(points []geom.Vec3, cell float64) *spatialGrid {
-	g := &spatialGrid{
-		cell:   cell,
-		points: points,
-		cells:  make(map[cellKey][]int, len(points)),
-	}
+	g := &spatialGrid{points: points, grid: geom.NewHashGrid(cell, len(points))}
 	for i, p := range points {
-		k := g.key(p)
-		g.cells[k] = append(g.cells[k], i)
+		g.grid.Insert(int32(i), p)
 	}
 	return g
-}
-
-func (g *spatialGrid) key(p geom.Vec3) cellKey {
-	return cellKey{
-		x: int32(math.Floor(p.X / g.cell)),
-		y: int32(math.Floor(p.Y / g.cell)),
-		z: int32(math.Floor(p.Z / g.cell)),
-	}
 }
 
 // neighborsWithin appends to dst the indices of all points within radius of
 // points[i] (excluding i itself) and returns the extended slice. radius must
 // not exceed the grid cell size.
 func (g *spatialGrid) neighborsWithin(dst []int, i int, radius float64) []int {
-	p := g.points[i]
-	k := g.key(p)
-	r2 := radius * radius
-	for dx := int32(-1); dx <= 1; dx++ {
-		for dy := int32(-1); dy <= 1; dy++ {
-			for dz := int32(-1); dz <= 1; dz++ {
-				for _, j := range g.cells[cellKey{k.x + dx, k.y + dy, k.z + dz}] {
-					if j != i && g.points[j].Dist2(p) <= r2 {
-						dst = append(dst, j)
-					}
-				}
-			}
+	g.grid.VisitNear(g.points, g.points[i], radius, func(j int32) {
+		if int(j) != i {
+			dst = append(dst, int(j))
 		}
-	}
+	})
 	return dst
 }
 
@@ -67,18 +38,15 @@ func (g *spatialGrid) countEdges(radius float64) int {
 	r2 := radius * radius
 	total := 0
 	for i, p := range g.points {
-		k := g.key(p)
-		for dx := int32(-1); dx <= 1; dx++ {
-			for dy := int32(-1); dy <= 1; dy++ {
-				for dz := int32(-1); dz <= 1; dz++ {
-					for _, j := range g.cells[cellKey{k.x + dx, k.y + dy, k.z + dz}] {
-						if j > i && g.points[j].Dist2(p) <= r2 {
-							total++
-						}
-					}
+		// Filter by ID before measuring: half the candidates are pairs
+		// already counted from their other end.
+		g.grid.VisitCells(p, radius, func(ids []int32) {
+			for _, j := range ids {
+				if int(j) > i && g.points[j].Dist2(p) <= r2 {
+					total++
 				}
 			}
-		}
+		})
 	}
 	return total
 }

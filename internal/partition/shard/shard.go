@@ -1,10 +1,10 @@
 // Package shard is the deployment-volume side of partitioning: where the
 // parent package's Patches splits a *reconstructed boundary* for routing
-// and aggregation, a Sharding splits the *raw node set* spatially so the
-// detection phase itself (UBF + IFF, Sec. II of the paper) can run
-// shard-parallel. Because detection is localized — every verdict depends
+// and aggregation, a Sharding splits the *raw node set* spatially so
+// detection's per-node stages (frames and UBF, Sec. II of the paper) can
+// run shard-parallel. Because they are localized — every verdict depends
 // on a bounded-hop neighborhood only — a shard plus a bounded ghost halo
-// sees everything its owned nodes need, and the sharded engine
+// sees everything its owned nodes need, and the sharded schedule
 // (internal/core) reproduces the unsharded result bit for bit.
 //
 // The package lives below internal/partition but imports only geom and

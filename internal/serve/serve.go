@@ -7,10 +7,7 @@
 // recomputes only the dirty region around the change, and on the others
 // the engine re-runs the detector over the active set.
 //
-// Routes (current API version is /v1; the unprefixed spellings are
-// deprecated aliases that answer identically with a `Deprecation: true`
-// header and a `Link: ...; rel="successor-version"` pointing at the /v1
-// route):
+// Routes (every session route lives under the /v1 API version):
 //
 //	GET    /healthz                   liveness + session count
 //	POST   /v1/sessions               create a session from a network
@@ -148,43 +145,26 @@ func New(opts Options) *Server {
 	}
 }
 
-// Handler mounts the API routes: the versioned /v1 family plus the
-// pre-versioning unprefixed spellings as deprecated aliases.
+// Handler mounts the API routes, each under a StageServe span labeled
+// with its pattern.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.traced("GET /healthz", s.handleHealth))
-	// /v1/metrics is new with the versioned API — no legacy alias.
-	mux.HandleFunc("GET /v1/metrics", s.traced("GET /v1/metrics", s.handleMetrics))
-	// The mesh route is likewise /v1-only.
-	mux.HandleFunc("GET /v1/sessions/{id}/mesh", s.traced("GET /v1/sessions/{id}/mesh", s.handleMesh))
-	routes := []struct {
-		method, path string
-		fn           http.HandlerFunc
+	for _, rt := range []struct {
+		pattern string
+		fn      http.HandlerFunc
 	}{
-		{"POST", "/sessions", s.handleCreate},
-		{"GET", "/sessions", s.handleList},
-		{"GET", "/sessions/{id}", s.handleGet},
-		{"DELETE", "/sessions/{id}", s.handleDelete},
-		{"POST", "/sessions/{id}/deltas", s.handleDeltas},
-	}
-	for _, rt := range routes {
-		v1 := rt.method + " /v1" + rt.path
-		mux.HandleFunc(v1, s.traced(v1, rt.fn))
-		legacy := rt.method + " " + rt.path
-		mux.HandleFunc(legacy, s.traced(legacy, deprecated(rt.fn)))
+		{"GET /healthz", s.handleHealth},
+		{"GET /v1/metrics", s.handleMetrics},
+		{"POST /v1/sessions", s.handleCreate},
+		{"GET /v1/sessions", s.handleList},
+		{"GET /v1/sessions/{id}", s.handleGet},
+		{"GET /v1/sessions/{id}/mesh", s.handleMesh},
+		{"DELETE /v1/sessions/{id}", s.handleDelete},
+		{"POST /v1/sessions/{id}/deltas", s.handleDeltas},
+	} {
+		mux.HandleFunc(rt.pattern, s.traced(rt.pattern, rt.fn))
 	}
 	return mux
-}
-
-// deprecated marks a legacy unprefixed route per the IETF Deprecation
-// header draft, pointing clients at the versioned successor, and then
-// answers identically.
-func deprecated(fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</v1"+r.URL.Path+`>; rel="successor-version"`)
-		fn(w, r)
-	}
 }
 
 // traced wraps a handler in a StageServe span labeled with the route.

@@ -475,6 +475,27 @@ func TestServeLegacyPayload(t *testing.T) {
 	}
 }
 
+// TestServeUnprefixedRoutesGone pins the retired pre-versioning spellings:
+// every session route answers only under /v1, so an unprefixed request is a
+// 404 even while a session with that ID exists.
+func TestServeUnprefixedRoutesGone(t *testing.T) {
+	net := testNetwork(t)
+	ts := httptest.NewServer(New(Options{}).Handler())
+	defer ts.Close()
+	var sum Summary
+	doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", envelopeBody(t, net), http.StatusCreated, &sum)
+	for _, rt := range []struct{ method, path string }{
+		{http.MethodGet, "/sessions"},
+		{http.MethodPost, "/sessions"},
+		{http.MethodGet, "/sessions/" + sum.Session},
+		{http.MethodPost, "/sessions/" + sum.Session + "/deltas"},
+		{http.MethodDelete, "/sessions/" + sum.Session},
+	} {
+		doJSON(t, rt.method, ts.URL+rt.path, nil, http.StatusNotFound, nil)
+	}
+	doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+sum.Session, nil, http.StatusOK, nil)
+}
+
 // TestServeCreateRejects covers the creation error seams, including the
 // trailing-data envelope fix and the negative-parameter config fix — both
 // surfaced as 400s at the API boundary instead of deep library behavior.
