@@ -2,13 +2,14 @@
 # analysis, the complete test suite under the race detector (including the
 # parallel sweep engine's scheduling-independence tests and the
 # deterministic *WorkBound work gates), a one-iteration benchmark smoke
-# pass, the end-to-end smokes, and a short fuzz pass over every fuzz
-# target. End-to-end performance is measured by perfbench/, not here.
+# pass, the end-to-end smokes, the perfbench module's vet and tests, and a
+# short fuzz pass over every fuzz target. End-to-end performance is
+# measured by perfbench/, not here.
 
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test vet race race-shard fuzz benchsmoke trace-smoke trace-stat serve-smoke mesh-smoke ftdc-smoke detector-matrix check ci
+.PHONY: build test vet race race-shard fuzz benchsmoke trace-smoke trace-stat serve-smoke mesh-smoke ftdc-smoke detector-matrix perfbench-check check ci
 
 build:
 	$(GO) build ./...
@@ -112,12 +113,18 @@ ftdc-smoke:
 detector-matrix:
 	$(GO) run ./cmd/experiment -run detectors -scale 0.15
 
-check: vet race race-shard benchsmoke trace-smoke trace-stat serve-smoke mesh-smoke ftdc-smoke detector-matrix fuzz
+# perfbench/ is its own Go module linking core, mesh and serve, so
+# `./...` from the root never compiles it: vet and test it directly, so
+# an API change breaks here rather than at benchmark time.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
+
+check: vet race race-shard benchsmoke trace-smoke trace-stat serve-smoke mesh-smoke ftdc-smoke detector-matrix perfbench-check fuzz
 
 # The cache-defeating correctness gate for CI and pre-merge runs: gofmt and
 # static analysis, the full test suite with result caching off, so every
 # package really re-executes, then the end-to-end server and detector
-# smokes.
+# smokes and the perfbench module's vet and tests.
 ci:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
@@ -126,3 +133,4 @@ ci:
 	$(MAKE) mesh-smoke
 	$(MAKE) ftdc-smoke
 	$(MAKE) detector-matrix
+	$(MAKE) perfbench-check

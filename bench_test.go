@@ -337,7 +337,7 @@ func BenchmarkMDSLocalFrame(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mds.Localize(len(pts), dist, mds.Options{SmacofIterations: 40}); err != nil {
+		if _, err := mds.Localize(len(pts), dist, 40); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -532,7 +532,7 @@ func BenchmarkDegreeBaseline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DegreeBaseline(net, core.DegreeBaselineConfig{}); err != nil {
+		if _, err := core.DegreeBaseline(net); err != nil {
 			b.Fatal(err)
 		}
 	}

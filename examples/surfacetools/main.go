@@ -44,7 +44,7 @@ func main() {
 
 	// Tool 1 — embedding: virtual coordinates for every boundary node
 	// from hop counts alone, compared against ground truth.
-	emb, err := embed.Surface(net.G, surface, embed.Options{})
+	emb, err := embed.Surface(net.G, surface)
 	if err != nil {
 		log.Fatal(err)
 	}

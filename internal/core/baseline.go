@@ -1,19 +1,6 @@
 package core
 
-import (
-	"errors"
-
-	"repro/internal/netgen"
-)
-
-// DegreeBaselineConfig parameterizes the degree-threshold heuristic.
-type DegreeBaselineConfig struct {
-	// Fraction flags node i as boundary when deg(i) < Fraction·avgDeg.
-	// The zero value means 0.75, which roughly matches the expectation
-	// that a node on a flat boundary sees about half the ball volume an
-	// interior node sees.
-	Fraction float64
-}
+import "repro/internal/netgen"
 
 // DegreeBaseline is the natural localized heuristic the paper's UBF is
 // implicitly compared against: a node with markedly fewer neighbors than
@@ -21,21 +8,16 @@ type DegreeBaselineConfig struct {
 // ball hangs outside the network. The paper has no prior 3D competitor (it
 // is the first 3D boundary-detection work), so this serves as the ablation
 // baseline. Like UBF it is fully localized — a node needs only its own
-// degree plus the (flooded or configured) network average.
-func DegreeBaseline(net *netgen.Network, cfg DegreeBaselineConfig) ([]bool, error) {
+// degree plus the (flooded or configured) network average. Node i is
+// flagged when deg(i) < degreeFraction·avgDeg.
+func DegreeBaseline(net *netgen.Network) ([]bool, error) {
 	if net == nil {
 		return nil, ErrNoNetwork
-	}
-	if cfg.Fraction == 0 {
-		cfg.Fraction = 0.75
-	}
-	if cfg.Fraction < 0 {
-		return nil, errors.New("core: baseline fraction must be positive")
 	}
 	avg := net.G.AvgDegree()
 	out := make([]bool, net.Len())
 	for i := range out {
-		out[i] = float64(net.G.Degree(i)) < cfg.Fraction*avg
+		out[i] = float64(net.G.Degree(i)) < degreeFraction*avg
 	}
 	return out, nil
 }

@@ -47,7 +47,7 @@ func (degreeStatsDetector) DetectContext(ctx context.Context, o obs.Observer, ne
 	res := newCandidateResult(n)
 
 	// Candidate phase: node i is boundary when deg(i) falls below
-	// DegreeFraction of the mean degree over its closed two-hop
+	// degreeFraction of the mean degree over its closed two-hop
 	// neighborhood, gathered with a stamp-based scan so each worker
 	// reuses one O(n) scratch. Work is counted as neighborhood members
 	// visited.
@@ -84,7 +84,7 @@ func (degreeStatsDetector) DetectContext(ctx context.Context, o obs.Observer, ne
 			}
 		}
 		mean := float64(degSum) / float64(members)
-		res.UBF[i] = float64(net.G.Degree(i)) < cfg.DegreeFraction*mean
+		res.UBF[i] = float64(net.G.Degree(i)) < degreeFraction*mean
 		res.NodesChecked[i] = members
 		tests[w] += int64(members)
 		return nil

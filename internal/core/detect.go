@@ -52,20 +52,43 @@ const (
 	ScopeOneHop
 )
 
+// Fixed parameters of the paper pipeline and its competitors. The paper
+// fixes these (Definition 4's ε is "arbitrarily small"); only θ, T, the
+// knowledge scope and the ball size are ever varied (Sec. II-A3, II-B).
+const (
+	// ubfEpsilon is Definition 4's arbitrarily small ε: the unit ball's
+	// radius is r = BallRadiusFactor·(1+ε)·R.
+	ubfEpsilon = 1e-9
+	// ubfInteriorTolerance is the strict-interior slack, relative to the
+	// ball radius, below which a node counts as touching rather than
+	// inside.
+	ubfInteriorTolerance = 1e-9
+	// frameSmacofIterations is the number of SMACOF refinement sweeps
+	// each local MDS frame gets under CoordsMDS.
+	frameSmacofIterations = 40
+	// minSharedForStitch is the minimum number of shared members needed
+	// to register a neighbor's frame during two-hop stitching: three
+	// points fix a rigid motion; one more adds redundancy against noise.
+	minSharedForStitch = 4
+	// enclosureMargin is the sv-enclosure competitor's margin: a node is
+	// a boundary candidate when some direction's half-space, pushed
+	// enclosureMargin·R inward, contains none of its known neighbors.
+	enclosureMargin = 0.2
+	// degreeFraction is the degree-statistics competitors' threshold:
+	// node i is a candidate when deg(i) < degreeFraction · (a mean
+	// degree), which roughly matches a node on a flat boundary seeing
+	// about half the ball volume an interior node sees.
+	degreeFraction = 0.75
+)
+
 // Config parameterizes the detection pipeline. The zero value selects the
 // paper's defaults.
 type Config struct {
 	// BallRadiusFactor scales the unit-ball radius relative to the radio
-	// range: r = BallRadiusFactor·(1+Epsilon)·R. The zero value means 1
+	// range: r = BallRadiusFactor·(1+ε)·R. The zero value means 1
 	// (Definition 4's unit ball). Larger values detect only larger holes
 	// (Sec. II-A3).
 	BallRadiusFactor float64
-	// Epsilon is Definition 4's arbitrarily small ε. Zero means 1e-9.
-	Epsilon float64
-	// InteriorTolerance is the strict-interior slack, relative to the
-	// ball radius, below which a node counts as touching rather than
-	// inside. Zero means 1e-9.
-	InteriorTolerance float64
 
 	// Coords selects the coordinate source. Zero means CoordsMDS when a
 	// measurement is supplied to Detect and CoordsTrue otherwise.
@@ -73,14 +96,6 @@ type Config struct {
 	// Scope selects the emptiness-knowledge scope. Zero means
 	// ScopeTwoHop.
 	Scope Scope
-	// MDS configures local-frame construction under CoordsMDS. A zero
-	// SmacofIterations is upgraded to 40 refinement sweeps.
-	MDS mds.Options
-	// MinSharedForStitch is the minimum number of shared members needed
-	// to register a neighbor's frame during two-hop stitching. Zero
-	// means 4 (three points fix a rigid motion; one more adds
-	// redundancy against noise).
-	MinSharedForStitch int
 	// AdaptiveTolFactor scales the node's locally observable coordinate
 	// uncertainty into an additional strict-interior tolerance: under
 	// noisy coordinates a node only counts as inside a candidate ball
@@ -90,10 +105,10 @@ type Config struct {
 	// falling back to the frame's own measured-distance residual
 	// (mds.ResidualRMS) under ScopeOneHop. Zero means 1; negative
 	// disables adaptation. Irrelevant under CoordsTrue, where the
-	// uncertainty is zero. The default 0.5 balances missed boundary
-	// nodes (tolerance too small: phantom stitched positions block
-	// genuinely empty balls) against mistaken interior nodes (tolerance
-	// too large:true occupants get discounted).
+	// uncertainty is zero. The factor balances missed boundary nodes
+	// (tolerance too small: phantom stitched positions block genuinely
+	// empty balls) against mistaken interior nodes (tolerance too
+	// large: true occupants get discounted).
 	AdaptiveTolFactor float64
 
 	// IFFThreshold is θ: fragments with fewer boundary nodes within
@@ -115,16 +130,12 @@ type Config struct {
 	// Faults, when enabled, injects message loss, duplication, delay,
 	// crashes and partitions into the flooding phases, which then run as
 	// message passing on the sim kernels with the acknowledged,
-	// retransmitting protocol variants. With per-link loss capped at
-	// Faults.MaxDropsPerLink and a RetransmitBudget at least that cap,
-	// the detection outcome is provably identical to the fault-free run.
-	// Each phase derives its own plan: IFF from Faults.Seed, grouping
-	// from Faults.Seed+1.
+	// retransmitting protocol variants, each packet retransmitted at
+	// most 3 times (sim.ReliableOptions' default budget). With per-link
+	// loss capped at Faults.MaxDropsPerLink ≤ 3, the detection outcome
+	// is provably identical to the fault-free run. Each phase derives
+	// its own plan: IFF from Faults.Seed, grouping from Faults.Seed+1.
 	Faults sim.FaultConfig
-	// RetransmitBudget is the maximum number of retransmissions per
-	// unacknowledged packet under faults. Zero means 3; ignored without
-	// an enabled fault plan.
-	RetransmitBudget int
 
 	// Workers bounds pipeline parallelism. Zero means GOMAXPROCS. The
 	// result is independent of the worker count.
@@ -144,28 +155,11 @@ type Config struct {
 	// selects DefaultDetector (the paper's UBF/IFF pipeline). See
 	// RegisterDetector and DetectorNames for the registry.
 	Detector string
-
-	// EnclosureMargin parameterizes the sv-enclosure competitor: a node
-	// is a boundary candidate when some direction's half-space, pushed
-	// EnclosureMargin·R inward, contains none of its known neighbors.
-	// Zero means 0.2; other detectors ignore it.
-	EnclosureMargin float64
-	// DegreeFraction parameterizes the degree-stats competitor: node i
-	// is a candidate when deg(i) < DegreeFraction · (mean degree over
-	// its two-hop neighborhood). Zero means 0.75; other detectors
-	// ignore it.
-	DegreeFraction float64
 }
 
 func (c Config) withDefaults(haveMeasurement bool) Config {
 	if c.BallRadiusFactor == 0 {
 		c.BallRadiusFactor = 1
-	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 1e-9
-	}
-	if c.InteriorTolerance == 0 {
-		c.InteriorTolerance = 1e-9
 	}
 	if c.Coords == 0 {
 		if haveMeasurement {
@@ -177,12 +171,6 @@ func (c Config) withDefaults(haveMeasurement bool) Config {
 	if c.Scope == 0 {
 		c.Scope = ScopeTwoHop
 	}
-	if c.MDS.SmacofIterations == 0 {
-		c.MDS.SmacofIterations = 40
-	}
-	if c.MinSharedForStitch == 0 {
-		c.MinSharedForStitch = 4
-	}
 	if c.AdaptiveTolFactor == 0 {
 		c.AdaptiveTolFactor = 1
 	}
@@ -192,19 +180,18 @@ func (c Config) withDefaults(haveMeasurement bool) Config {
 	if c.IFFTTL == 0 {
 		c.IFFTTL = 3
 	}
-	if c.RetransmitBudget == 0 {
-		c.RetransmitBudget = 3
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.EnclosureMargin == 0 {
-		c.EnclosureMargin = 0.2
-	}
-	if c.DegreeFraction == 0 {
-		c.DegreeFraction = 0.75
-	}
 	return c
+}
+
+// ballSize returns the UBF candidate-ball radius for radio range
+// radioRange, r = BallRadiusFactor·(1+ε)·R, and the strict-interior
+// tolerance that goes with it. c must carry its defaults.
+func (c Config) ballSize(radioRange float64) (radius, tol float64) {
+	radius = c.BallRadiusFactor * (1 + ubfEpsilon) * radioRange
+	return radius, ubfInteriorTolerance * radius
 }
 
 // Validate is the single validation choke point for detection configs:
@@ -358,8 +345,7 @@ func paperDetect(ctx context.Context, o obs.Observer, net *netgen.Network, meas 
 		BallsTested:  make([]int, n),
 		NodesChecked: make([]int, n),
 	}
-	radius := cfg.BallRadiusFactor * (1 + cfg.Epsilon) * tab.Radius
-	tol := cfg.InteriorTolerance * radius
+	radius, tol := cfg.ballSize(tab.Radius)
 
 	// Stage 1 (CoordsMDS only): every node builds its one-hop MDS frame.
 	// The schedule builds the frames and returns the loop stage 2 runs on.
@@ -505,14 +491,13 @@ func filterAndGroup(ctx context.Context, o obs.Observer, net *netgen.Network, cf
 			// Each phase gets an independent plan; keep the configured
 			// seed for IFF and derive the grouping one below.
 			plan := sim.NewFaultPlan(iffFaults, n)
-			opt := sim.ReliableOptions{Budget: cfg.RetransmitBudget}
 			if cfg.Async {
 				var stats sim.AsyncResult
-				counts, stats, err = sim.AsyncReliableFloodCount(net.G, res.UBF, cfg.IFFTTL, cfg.AsyncSeed, plan, opt, pr)
+				counts, stats, err = sim.AsyncReliableFloodCount(net.G, res.UBF, cfg.IFFTTL, cfg.AsyncSeed, plan, sim.ReliableOptions{}, pr)
 				messages = stats.Messages
 			} else {
 				var stats sim.Result
-				counts, stats, err = sim.ReliableFloodCount(net.G, res.UBF, cfg.IFFTTL, plan, opt, pr)
+				counts, stats, err = sim.ReliableFloodCount(net.G, res.UBF, cfg.IFFTTL, plan, sim.ReliableOptions{}, pr)
 				messages = stats.Messages
 			}
 			res.FaultStats.Add(plan.Stats())
@@ -567,14 +552,13 @@ func filterAndGroup(ctx context.Context, o obs.Observer, net *netgen.Network, cf
 		groupFaults := cfg.Faults
 		groupFaults.Seed++
 		plan := sim.NewFaultPlan(groupFaults, n)
-		opt := sim.ReliableOptions{Budget: cfg.RetransmitBudget}
 		if cfg.Async {
 			var stats sim.AsyncResult
-			label, stats, err = sim.AsyncReliableLabelComponents(net.G, res.Boundary, cfg.AsyncSeed+1, plan, opt, groupPr)
+			label, stats, err = sim.AsyncReliableLabelComponents(net.G, res.Boundary, cfg.AsyncSeed+1, plan, sim.ReliableOptions{}, groupPr)
 			groupMessages = stats.Messages
 		} else {
 			var stats sim.Result
-			label, stats, err = sim.ReliableLabelComponents(net.G, res.Boundary, plan, opt, groupPr)
+			label, stats, err = sim.ReliableLabelComponents(net.G, res.Boundary, plan, sim.ReliableOptions{}, groupPr)
 			groupMessages = stats.Messages
 		}
 		res.FaultStats.Add(plan.Stats())
@@ -654,7 +638,7 @@ func buildFrame(tab *NodeTable, cfg Config, i int) (frame, error) {
 	dist := func(a, b int) (float64, bool) {
 		return tab.MeasLookup(members[a], members[b])
 	}
-	coords, err := mds.Localize(len(members), dist, cfg.MDS)
+	coords, err := mds.Localize(len(members), dist, frameSmacofIterations)
 	if err != nil {
 		return frame{}, err
 	}
@@ -849,7 +833,7 @@ func stitchTwoHop(tab *NodeTable, cfg Config, frames []frame, i int, as *assembl
 			}
 		}
 		as.src, as.dst = src, dst
-		if len(src) < cfg.MinSharedForStitch {
+		if len(src) < minSharedForStitch {
 			continue
 		}
 		tr, _, err := geom.AlignRigid(src, dst)

@@ -215,13 +215,12 @@ func TestDetectDeterministicAcrossWorkerCounts(t *testing.T) {
 		"sync":  {},
 		"async": {Async: true, AsyncSeed: 7},
 		"faulty-async": {
-			Async:            true,
-			AsyncSeed:        7,
-			RetransmitBudget: 3,
+			Async:     true,
+			AsyncSeed: 7,
 			Faults: sim.FaultConfig{
 				Seed:            11,
 				DropRate:        0.2,
-				MaxDropsPerLink: 2, // ≤ RetransmitBudget: recoverable
+				MaxDropsPerLink: 2, // ≤ the retransmit budget of 3: recoverable
 				DuplicateRate:   0.1,
 			},
 		},
@@ -345,13 +344,10 @@ func TestDetectBallRadiusFactorHoleSelectivity(t *testing.T) {
 
 func TestDegreeBaseline(t *testing.T) {
 	net, _ := fixtures(t)
-	if _, err := DegreeBaseline(nil, DegreeBaselineConfig{}); err != ErrNoNetwork {
+	if _, err := DegreeBaseline(nil); err != ErrNoNetwork {
 		t.Errorf("nil network: err = %v", err)
 	}
-	if _, err := DegreeBaseline(net, DegreeBaselineConfig{Fraction: -1}); err == nil {
-		t.Error("negative fraction should fail")
-	}
-	mask, err := DegreeBaseline(net, DegreeBaselineConfig{})
+	mask, err := DegreeBaseline(net)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,7 +216,7 @@ func TestDetectFaultsBelowBudgetEqualsFaultFree(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		faulty, err := Detect(net, nil, Config{
 			Async: async, AsyncSeed: 3,
-			Faults: faults, RetransmitBudget: 3,
+			Faults: faults,
 		})
 		if err != nil {
 			t.Fatalf("async=%v: %v", async, err)

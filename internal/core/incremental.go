@@ -232,12 +232,11 @@ func NewIncrementalContext(ctx context.Context, o obs.Observer, net *netgen.Netw
 	inc := &Incremental{
 		cfg:       full,
 		radius:    net.Radius,
-		ballR:     full.BallRadiusFactor * (1 + full.Epsilon) * net.Radius,
 		scopeHops: 1,
 		workers:   full.Workers,
 		dirtyAll:  !det.Caps().Has(CapIncremental),
 	}
-	inc.tol = full.InteriorTolerance * inc.ballR
+	inc.ballR, inc.tol = full.ballSize(net.Radius)
 	if full.Scope == ScopeTwoHop {
 		inc.scopeHops = 2
 	}

@@ -29,8 +29,8 @@ func TestDetectContextObservedBitIdentical(t *testing.T) {
 	cases := map[string]Config{
 		"sync":         {},
 		"async":        {Async: true, AsyncSeed: 3},
-		"faulty-sync":  {Faults: faults, RetransmitBudget: 3},
-		"faulty-async": {Async: true, AsyncSeed: 3, Faults: faults, RetransmitBudget: 3},
+		"faulty-sync":  {Faults: faults},
+		"faulty-async": {Async: true, AsyncSeed: 3, Faults: faults},
 		"no-iff":       {IFFThreshold: -1},
 	}
 	for name, cfg := range cases {

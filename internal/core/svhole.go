@@ -134,7 +134,7 @@ func (svEnclosureDetector) DetectContext(ctx context.Context, o obs.Observer, ne
 	n := tab.Len()
 	obs.Add(o, obs.StageDetect, obs.CtrNodes, int64(n))
 	res := newCandidateResult(n)
-	margin := cfg.EnclosureMargin * tab.Radius
+	margin := enclosureMargin * tab.Radius
 
 	var frames []frame
 	if cfg.Coords == CoordsMDS {

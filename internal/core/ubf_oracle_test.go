@@ -278,8 +278,7 @@ func TestFitMatchesVoronoiOracle(t *testing.T) {
 			}
 			cfg := Config{Coords: CoordsTrue}.withDefaults(false)
 			tab := NewNodeTable(tc.net, nil)
-			radius := cfg.BallRadiusFactor * (1 + cfg.Epsilon) * tab.Radius
-			tol := cfg.InteriorTolerance * radius
+			radius, tol := cfg.ballSize(tab.Radius)
 			var s UBFScratch
 			var as assembleScratch
 			boundary, undecided := 0, 0

@@ -27,28 +27,14 @@ var ErrTooFewLandmarks = errors.New("embed: surface needs at least 4 landmarks")
 // through the boundary subgraph.
 var ErrDisconnected = errors.New("embed: landmarks not mutually reachable through the boundary")
 
-// Options configures Surface.
-type Options struct {
-	// Anchors is the number of nearest landmarks each non-landmark node
-	// interpolates over. Zero means 4.
-	Anchors int
-	// HopScale converts hop counts to distance units. Zero means
-	// "estimate from the mesh": the mean Euclidean... no true positions
-	// are available to a connectivity-only embedding, so the scale is
-	// left at 1 hop = 1 unit; callers comparing against ground truth
-	// should align with scale (see Distortion).
-	HopScale float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.Anchors == 0 {
-		o.Anchors = 4
-	}
-	if o.HopScale == 0 {
-		o.HopScale = 1
-	}
-	return o
-}
+const (
+	// maxAnchors is the number of nearest landmarks each non-landmark
+	// node interpolates over.
+	maxAnchors = 4
+	// landmarkSmacofIterations refines the landmark skeleton's classical
+	// MDS solution.
+	landmarkSmacofIterations = 60
+)
 
 // Embedding is a virtual coordinate assignment for one boundary surface.
 type Embedding struct {
@@ -72,9 +58,10 @@ func (e *Embedding) Position(node int) (geom.Vec3, bool) {
 }
 
 // Surface embeds a reconstructed boundary surface into 3D virtual
-// coordinates using hop distances only.
-func Surface(g *graph.Graph, s *mesh.Surface, opts Options) (*Embedding, error) {
-	opts = opts.withDefaults()
+// coordinates using hop distances only, at one hop = one unit: no true
+// positions are available to a connectivity-only embedding, so callers
+// comparing against ground truth align with scale (see Distortion).
+func Surface(g *graph.Graph, s *mesh.Surface) (*Embedding, error) {
 	lms := s.Landmarks.IDs
 	if len(lms) < 4 {
 		return nil, ErrTooFewLandmarks
@@ -96,9 +83,9 @@ func Surface(g *graph.Graph, s *mesh.Surface, opts Options) (*Embedding, error) 
 		if d == graph.Unreachable {
 			return 0, false
 		}
-		return opts.HopScale * float64(d), true
+		return float64(d), true
 	}
-	lmCoords, err := mds.Localize(len(lms), dist, mds.Options{SmacofIterations: 60})
+	lmCoords, err := mds.Localize(len(lms), dist, landmarkSmacofIterations)
 	if err != nil {
 		if errors.Is(err, mds.ErrDisconnected) {
 			return nil, ErrDisconnected
@@ -148,8 +135,8 @@ func Surface(g *graph.Graph, s *mesh.Surface, opts Options) (*Embedding, error) 
 			}
 			return anchors[a].lm < anchors[b].lm
 		})
-		if len(anchors) > opts.Anchors {
-			anchors = anchors[:opts.Anchors]
+		if len(anchors) > maxAnchors {
+			anchors = anchors[:maxAnchors]
 		}
 		// Inverse-hop-weighted interpolation over the anchors.
 		var sum geom.Vec3

@@ -36,7 +36,7 @@ func sphereSurface(t *testing.T) (*netgen.Network, *mesh.Surface) {
 
 func TestSurfaceEmbeddingSphere(t *testing.T) {
 	net, s := sphereSurface(t)
-	emb, err := Surface(net.G, s, Options{})
+	emb, err := Surface(net.G, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSurfaceEmbeddingValidation(t *testing.T) {
 		Group:     s.Group,
 		Landmarks: &mesh.Landmarks{IDs: s.Landmarks.IDs[:3]},
 	}
-	if _, err := Surface(net.G, small, Options{}); err != ErrTooFewLandmarks {
+	if _, err := Surface(net.G, small); err != ErrTooFewLandmarks {
 		t.Errorf("err = %v, want ErrTooFewLandmarks", err)
 	}
 }
@@ -97,7 +97,7 @@ func TestSurfaceEmbeddingDisconnected(t *testing.T) {
 		Group:     []int{0, 1, 2, 4, 5, 6},
 		Landmarks: &mesh.Landmarks{IDs: []int{0, 1, 4, 5}},
 	}
-	if _, err := Surface(g, s, Options{}); err != ErrDisconnected {
+	if _, err := Surface(g, s); err != ErrDisconnected {
 		t.Errorf("err = %v, want ErrDisconnected", err)
 	}
 }

@@ -81,7 +81,7 @@ func ablationVariantsFor(net *netgen.Network, meas *netgen.Measurement, base cor
 		}
 	}
 	degreeBaseline := ablationVariant{"degree-baseline", func(context.Context, obs.Observer) ([]bool, error) {
-		return core.DegreeBaseline(net, core.DegreeBaselineConfig{})
+		return core.DegreeBaseline(net)
 	}}
 	if det.Name() == core.DefaultDetector {
 		return []ablationVariant{

@@ -59,7 +59,7 @@ func RunSurfaceTools(sc Scenario, meshCfg mesh.Config, k int) (*SurfaceToolsRepo
 	rep := &SurfaceToolsReport{Name: sc.Name, PartitionK: k}
 
 	// Embedding.
-	emb, err := embed.Surface(net.G, surface, embed.Options{})
+	emb, err := embed.Surface(net.G, surface)
 	if err != nil {
 		return nil, fmt.Errorf("embed: %w", err)
 	}

@@ -30,8 +30,9 @@ type FaultSweepResult struct {
 // RunFaultSweep measures one network across message-loss levels. At each
 // level the full pipeline runs with the fault layer injecting unbounded
 // random loss (no per-link cap, so delivery is NOT guaranteed) and the
-// hardened retransmitting floods doing their best within cfg's
-// RetransmitBudget; the outcome is classified against ground truth.
+// hardened retransmitting floods doing their best within their fixed
+// budget of 3 retransmissions per packet; the outcome is classified
+// against ground truth.
 // Level 0 reproduces the fault-free run. Measurement error is fixed at
 // errorFrac with exact ranging when zero.
 // Loss levels run on the default Engine pool; per-level seeding keeps the

@@ -18,9 +18,10 @@ import (
 //   - asynchronous delivery with the same recoverable faults.
 //
 // The flooding protocols are delay-independent, and with per-link loss
-// capped at MaxDropsPerLink <= RetransmitBudget the acknowledged
-// variants mask every loss, so all four runs must agree on the boundary
-// set, the per-node fragment sizes, and the grouping.
+// capped at MaxDropsPerLink = 2, within the fixed retransmission budget
+// of 3, the acknowledged variants mask every loss, so all four runs must
+// agree on the boundary set, the per-node fragment sizes, and the
+// grouping.
 func TestMetamorphicExecutionModels(t *testing.T) {
 	recoverable := sim.FaultConfig{
 		Seed:            11,
@@ -36,8 +37,8 @@ func TestMetamorphicExecutionModels(t *testing.T) {
 	}{
 		{"sync", core.Config{}},
 		{"async", core.Config{Async: true, AsyncSeed: 5}},
-		{"sync-faults", core.Config{Faults: recoverable, RetransmitBudget: 4}},
-		{"async-faults", core.Config{Async: true, AsyncSeed: 5, Faults: recoverable, RetransmitBudget: 4}},
+		{"sync-faults", core.Config{Faults: recoverable}},
+		{"async-faults", core.Config{Async: true, AsyncSeed: 5, Faults: recoverable}},
 	}
 	for _, sc := range AllScenarios() {
 		sc := sc.Scaled(0.12)

@@ -14,7 +14,7 @@ func ExampleLocalize() {
 		geom.V(0, 0, 0), geom.V(1, 0, 0), geom.V(0, 1, 0), geom.V(0, 0, 1),
 	}
 	dist := func(a, b int) (float64, bool) { return pts[a].Dist(pts[b]), true }
-	coords, err := mds.Localize(len(pts), dist, mds.Options{SmacofIterations: 50})
+	coords, err := mds.Localize(len(pts), dist, 50)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -15,46 +15,19 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/geom"
 )
 
-// Options configures Localize.
-type Options struct {
-	// Dims is the embedding dimension. The zero value means 3.
-	Dims int
-	// SmacofIterations refines the classical-MDS solution with this many
-	// stress-majorization sweeps over the measured pairs. Zero disables
-	// refinement. Negative is invalid.
-	SmacofIterations int
-	// MinRho guards the SMACOF update against coincident points. The
-	// zero value means 1e-9.
-	MinRho float64
-	// Restarts adds this many extra SMACOF runs from randomly perturbed
-	// initial configurations (deterministic, seeded by RestartSeed),
-	// keeping the lowest-stress result. Classical MDS on the
-	// shortest-path-completed matrix is a biased initializer, and
-	// SMACOF's majorization is prone to local minima on sparse
-	// neighborhoods; a few restarts recover most of them. Zero disables
-	// restarts.
-	Restarts int
-	// RestartSeed seeds the restart perturbations.
-	RestartSeed int64
-}
+const (
+	// dims is the embedding dimension.
+	dims = 3
+	// minRho guards the SMACOF update against coincident points.
+	minRho = 1e-9
+)
 
-func (o Options) withDefaults() Options {
-	if o.Dims == 0 {
-		o.Dims = 3
-	}
-	if o.MinRho == 0 {
-		o.MinRho = 1e-9
-	}
-	return o
-}
-
-// ErrBadOptions is returned for invalid option values.
-var ErrBadOptions = errors.New("mds: invalid options")
+// ErrBadOptions is returned for a negative SMACOF iteration count.
+var ErrBadOptions = errors.New("mds: negative SMACOF iteration count")
 
 // ErrDisconnected is returned when shortest-path completion cannot fill the
 // distance matrix — the points do not form a connected measurement graph.
@@ -68,12 +41,13 @@ var ErrDisconnected = errors.New("mds: measurement graph is disconnected")
 // unordered pair once with a < b.
 type DistFunc func(a, b int) (float64, bool)
 
-// Localize embeds n points into Options.Dims-dimensional coordinates from
-// partial pairwise distance measurements. The result coordinates are in an
-// arbitrary rigid frame.
-func Localize(n int, dist DistFunc, opts Options) ([]geom.Vec3, error) {
-	opts = opts.withDefaults()
-	if opts.Dims < 1 || opts.Dims > 3 || opts.SmacofIterations < 0 || opts.Restarts < 0 {
+// Localize embeds n points into 3D coordinates from partial pairwise
+// distance measurements, refining the classical-MDS solution with
+// smacofIterations stress-majorization sweeps over the measured pairs
+// (zero disables refinement; negative is invalid). The result coordinates
+// are in an arbitrary rigid frame.
+func Localize(n int, dist DistFunc, smacofIterations int) ([]geom.Vec3, error) {
+	if smacofIterations < 0 {
 		return nil, ErrBadOptions
 	}
 	switch n {
@@ -87,59 +61,14 @@ func Localize(n int, dist DistFunc, opts Options) ([]geom.Vec3, error) {
 	if err := completeShortestPaths(d); err != nil {
 		return nil, err
 	}
-	coords, err := classical(d, opts.Dims)
+	coords, err := classical(d)
 	if err != nil {
 		return nil, fmt.Errorf("classical MDS: %w", err)
 	}
-	if opts.SmacofIterations == 0 {
-		return coords, nil
+	if smacofIterations > 0 {
+		smacof(coords, d, observed, smacofIterations)
 	}
-	smacof(coords, d, observed, opts)
-	if opts.Restarts == 0 {
-		return coords, nil
-	}
-
-	// Restarted refinement: perturb the best-known configuration and
-	// re-majorize, keeping whichever run fits the measured distances
-	// best. The perturbation magnitude is a fraction of the
-	// configuration's spread, enough to hop out of a reflection-trapped
-	// local minimum.
-	best := coords
-	bestStress := stressAgainst(best, d, observed)
-	rng := rand.New(rand.NewSource(opts.RestartSeed + int64(n)*1_000_003))
-	spread := 0.0
-	for _, c := range coords {
-		spread = math.Max(spread, c.Norm())
-	}
-	if spread == 0 {
-		spread = 1
-	}
-	for r := 0; r < opts.Restarts; r++ {
-		trial := make([]geom.Vec3, n)
-		for i := range trial {
-			trial[i] = best[i].Add(geom.RandomUnitVector(rng).Scale(0.4 * spread * rng.Float64()))
-		}
-		smacof(trial, d, observed, opts)
-		if s := stressAgainst(trial, d, observed); s < bestStress {
-			best, bestStress = trial, s
-		}
-	}
-	return best, nil
-}
-
-// stressAgainst is raw (unnormalized) stress over the observed pairs.
-func stressAgainst(coords []geom.Vec3, d [][]float64, observed [][]bool) float64 {
-	var sum float64
-	for a := range coords {
-		for b := a + 1; b < len(coords); b++ {
-			if !observed[a][b] {
-				continue
-			}
-			rho := coords[a].Dist(coords[b])
-			sum += (rho - d[a][b]) * (rho - d[a][b])
-		}
-	}
-	return sum
+	return coords, nil
 }
 
 // matrix carves an n×n float matrix's rows out of one flat backing array —
@@ -218,7 +147,7 @@ func completeShortestPaths(d [][]float64) error {
 
 // classical performs classical (Torgerson) MDS: eigendecompose the
 // double-centered squared-distance matrix and scale the top eigenvectors.
-func classical(d [][]float64, dims int) ([]geom.Vec3, error) {
+func classical(d [][]float64) ([]geom.Vec3, error) {
 	n := len(d)
 	// B = -1/2 · J·D²·J with J = I - 11ᵀ/n, computed via row/column/grand
 	// means of the squared distances. b holds D² first, then is centered
@@ -271,7 +200,7 @@ func classical(d [][]float64, dims int) ([]geom.Vec3, error) {
 // trustworthy than the shortest-path-completed entries. V is the weight
 // Laplacian; its pseudo-inverse is computed once per call. Stress decreases
 // monotonically under this update.
-func smacof(coords []geom.Vec3, d [][]float64, observed [][]bool, opts Options) {
+func smacof(coords []geom.Vec3, d [][]float64, observed [][]bool, iterations int) {
 	n := len(coords)
 	// Collect the measured pairs once: B(X)'s off-diagonal support is
 	// exactly these pairs, so each majorization sweep costs
@@ -311,17 +240,17 @@ func smacof(coords []geom.Vec3, d [][]float64, observed [][]bool, opts Options) 
 	}
 
 	y := make([]geom.Vec3, n)
-	for iter := 0; iter < opts.SmacofIterations; iter++ {
+	for iter := 0; iter < iterations; iter++ {
 		// Y = B(X)·X: pair (a,c) contributes s·(x_a − x_c) to row a and
-		// its negation to row c, with s = d_ac / max(ρ_ac, MinRho) — the
+		// its negation to row c, with s = d_ac / max(ρ_ac, minRho) — the
 		// pair-local form of the Guttman transform's B matrix.
 		for a := range y {
 			y[a] = geom.Vec3{}
 		}
 		for _, p := range pairs {
 			rho := coords[p.a].Dist(coords[p.c])
-			if rho < opts.MinRho {
-				rho = opts.MinRho
+			if rho < minRho {
+				rho = minRho
 			}
 			t := coords[p.a].Sub(coords[p.c]).Scale(p.d / rho)
 			y[p.a] = y[p.a].Add(t)

@@ -24,9 +24,9 @@ func rangeDist(pts []geom.Vec3, radius float64) DistFunc {
 
 // checkRecovers asserts that Localize reproduces pts up to rigid motion
 // within rmsdTol.
-func checkRecovers(t *testing.T, pts []geom.Vec3, dist DistFunc, opts Options, rmsdTol float64) {
+func checkRecovers(t *testing.T, pts []geom.Vec3, dist DistFunc, iterations int, rmsdTol float64) {
 	t.Helper()
-	coords, err := Localize(len(pts), dist, opts)
+	coords, err := Localize(len(pts), dist, iterations)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +43,11 @@ func checkRecovers(t *testing.T, pts []geom.Vec3, dist DistFunc, opts Options, r
 }
 
 func TestLocalizeTrivialSizes(t *testing.T) {
-	coords, err := Localize(0, nil, Options{})
+	coords, err := Localize(0, nil, 0)
 	if err != nil || coords != nil {
 		t.Errorf("n=0: %v, %v", coords, err)
 	}
-	coords, err = Localize(1, nil, Options{})
+	coords, err = Localize(1, nil, 0)
 	if err != nil || len(coords) != 1 || coords[0] != geom.Zero {
 		t.Errorf("n=1: %v, %v", coords, err)
 	}
@@ -55,7 +55,7 @@ func TestLocalizeTrivialSizes(t *testing.T) {
 
 func TestLocalizeTwoPoints(t *testing.T) {
 	pts := []geom.Vec3{geom.Zero, geom.V(0.7, 0, 0)}
-	coords, err := Localize(2, fullDist(pts), Options{})
+	coords, err := Localize(2, fullDist(pts), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestLocalizeExactCompleteMatrix(t *testing.T) {
 		for i := range pts {
 			pts[i] = geom.RandomInBall(rng, geom.Sphere{Radius: 1})
 		}
-		checkRecovers(t, pts, fullDist(pts), Options{}, 1e-6)
+		checkRecovers(t, pts, fullDist(pts), 0, 1e-6)
 	}
 }
 
@@ -88,7 +88,7 @@ func TestLocalizePartialMatrixNeighborhood(t *testing.T) {
 		for len(pts) < 15 {
 			pts = append(pts, geom.RandomInBall(rng, geom.Sphere{Radius: 1}))
 		}
-		coords, err := Localize(len(pts), rangeDist(pts, 1), Options{SmacofIterations: 100})
+		coords, err := Localize(len(pts), rangeDist(pts, 1), 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,11 +118,11 @@ func TestSmacofReducesStress(t *testing.T) {
 		pts = append(pts, geom.RandomInBall(rng, geom.Sphere{Radius: 1}))
 	}
 	dist := rangeDist(pts, 1)
-	raw, err := Localize(len(pts), dist, Options{SmacofIterations: 0})
+	raw, err := Localize(len(pts), dist, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := Localize(len(pts), dist, Options{SmacofIterations: 60})
+	refined, err := Localize(len(pts), dist, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,33 +141,31 @@ func TestLocalizeDisconnected(t *testing.T) {
 		}
 		return 0, false
 	}
-	if _, err := Localize(4, dist, Options{}); err != ErrDisconnected {
+	if _, err := Localize(4, dist, 0); err != ErrDisconnected {
 		t.Errorf("err = %v, want ErrDisconnected", err)
 	}
 }
 
 func TestLocalizeBadOptions(t *testing.T) {
 	pts := []geom.Vec3{geom.Zero, geom.V(1, 0, 0), geom.V(0, 1, 0)}
-	if _, err := Localize(3, fullDist(pts), Options{Dims: 5}); err != ErrBadOptions {
-		t.Errorf("dims=5: err = %v", err)
-	}
-	if _, err := Localize(3, fullDist(pts), Options{SmacofIterations: -1}); err != ErrBadOptions {
+	if _, err := Localize(3, fullDist(pts), -1); err != ErrBadOptions {
 		t.Errorf("negative iterations: err = %v", err)
 	}
 }
 
 func TestLocalizeLowerDims(t *testing.T) {
-	// Points on a plane embed exactly in 2 dimensions.
+	// Points on a plane carry no variance along a third axis, so the
+	// embedding is flat: the third coordinate is zero up to round-off.
 	pts := []geom.Vec3{
 		geom.V(0, 0, 0), geom.V(1, 0, 0), geom.V(0, 1, 0), geom.V(1, 1, 0), geom.V(0.3, 0.7, 0),
 	}
-	coords, err := Localize(len(pts), fullDist(pts), Options{Dims: 2})
+	coords, err := Localize(len(pts), fullDist(pts), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range coords {
-		if c.Z != 0 {
-			t.Errorf("coord %d has nonzero z: %v", i, c)
+		if math.Abs(c.Z) > 1e-6 {
+			t.Errorf("coord %d is off the plane: %v", i, c)
 		}
 	}
 	_, rmsd, err := geom.AlignRigid(coords, pts)
@@ -194,7 +192,7 @@ func TestLocalizeNoisyDistances(t *testing.T) {
 		}
 		return math.Max(0, d+(2*rng.Float64()-1)*noise), true
 	}
-	coords, err := Localize(len(pts), noisy, Options{SmacofIterations: 50})
+	coords, err := Localize(len(pts), noisy, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +229,7 @@ func TestStress(t *testing.T) {
 func TestLocalizeCoincidentPoints(t *testing.T) {
 	// Coincident points must not produce NaNs, with or without SMACOF.
 	pts := []geom.Vec3{geom.Zero, geom.Zero, geom.V(1, 0, 0), geom.V(0, 1, 0)}
-	coords, err := Localize(len(pts), fullDist(pts), Options{SmacofIterations: 20})
+	coords, err := Localize(len(pts), fullDist(pts), 20)
 	if err != nil {
 		t.Fatal(err)
 	}

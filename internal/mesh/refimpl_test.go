@@ -314,9 +314,9 @@ func refBuild(g *graph.Graph, group []int, cfg Config) (*Surface, error) {
 	}
 	forbidden := make(map[Edge]bool)
 	flips := 0
-	for round := 0; round < cfg.MaxRepairRounds; round++ {
+	for round := 0; round < maxRepairRounds; round++ {
 		added := refTriangulate(g, member, cdg, &cdm, edgeSet, forbidden)
-		f := refFlipPass(g, member, edgeSet, forbidden, cfg.MaxFlipIterations)
+		f := refFlipPass(g, member, edgeSet, forbidden, maxFlipIterations)
 		flips += f
 		if len(added) == 0 && f == 0 {
 			break

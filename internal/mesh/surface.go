@@ -10,17 +10,20 @@ import (
 	"repro/internal/obs"
 )
 
+const (
+	// maxFlipIterations bounds the step-V loop.
+	maxFlipIterations = 100
+	// maxRepairRounds bounds the fill↔flip alternation: each flip can
+	// open a polygon hole that another fill pass closes.
+	maxRepairRounds = 8
+)
+
 // Config parameterizes surface construction. The zero value selects the
 // paper's defaults.
 type Config struct {
 	// K is the landmark spacing in hops (mesh fineness). The paper uses
 	// 3–5; zero means 3 (the Fig. 1(f) setting).
 	K int
-	// MaxFlipIterations bounds the step-V loop. Zero means 100.
-	MaxFlipIterations int
-	// MaxRepairRounds bounds the fill↔flip alternation: each flip can
-	// open a polygon hole that another fill pass closes. Zero means 8.
-	MaxRepairRounds int
 
 	// noSPT disables the shortest-path trees so every path and distance
 	// query runs a fresh BFS — the slow reference mode the differential
@@ -32,12 +35,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.K == 0 {
 		c.K = 3
-	}
-	if c.MaxFlipIterations == 0 {
-		c.MaxFlipIterations = 100
-	}
-	if c.MaxRepairRounds == 0 {
-		c.MaxRepairRounds = 8
 	}
 	return c
 }
@@ -200,7 +197,7 @@ func buildOnKernel(ctx context.Context, o obs.Observer, kn *surfKernel, members 
 	fg := newFaceGraph(cdm.edges)
 	forbidden := make(map[Edge]bool)
 	flips := 0
-	for round := 0; round < cfg.MaxRepairRounds; round++ {
+	for round := 0; round < maxRepairRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -208,7 +205,7 @@ func buildOnKernel(ctx context.Context, o obs.Observer, kn *surfKernel, members 
 		added := triangulate(kn, cdg, &cdm, fg, forbidden)
 		triSpan.End()
 		flipSpan := obs.Start(o, obs.StageFlip)
-		f := flipPass(kn.dist, fg, forbidden, cfg.MaxFlipIterations)
+		f := flipPass(kn.dist, fg, forbidden, maxFlipIterations)
 		flipSpan.End()
 		obs.Add(o, obs.StageFlip, obs.CtrFlips, int64(f))
 		flips += f

@@ -29,33 +29,33 @@ type ReliableOptions struct {
 	// Budget is the number of retransmissions allowed per packet after
 	// the initial send. Zero means 3; negative means none.
 	Budget int
-	// ResendAfter is how long (in steps: rounds under the synchronous
-	// kernel, MaxDelay units under the asynchronous one) a sender waits
-	// for an acknowledgment before retransmitting. Zero means an
-	// automatic bound derived from the plan's delay model.
-	ResendAfter int
-	// MaxSteps overrides the kernel budget (MaxRounds / MaxEvents).
-	// Zero means a generous protocol-specific default.
-	MaxSteps int
 }
 
-func (o ReliableOptions) withDefaults(plan *FaultPlan) ReliableOptions {
-	if o.Budget == 0 {
-		o.Budget = 3
+// retxParams are the resolved retransmission parameters.
+type retxParams struct {
+	budget int
+	// resendAfter is how long (in steps: rounds under the synchronous
+	// kernel, MaxDelay units under the asynchronous one) a sender waits
+	// for an acknowledgment before retransmitting.
+	resendAfter int
+}
+
+func (o ReliableOptions) resolve(plan *FaultPlan) retxParams {
+	p := retxParams{budget: o.Budget}
+	if p.budget == 0 {
+		p.budget = 3
 	}
-	if o.Budget < 0 {
-		o.Budget = 0
+	if p.budget < 0 {
+		p.budget = 0
 	}
-	if o.ResendAfter == 0 {
-		// A data/ack round trip takes 2 steps plus twice the fault
-		// layer's extra delay bound.
-		extra := 0
-		if plan != nil && plan.Config().DelayRate > 0 {
-			extra = plan.Config().MaxExtraDelay
-		}
-		o.ResendAfter = 3 + 2*extra
+	// A data/ack round trip takes 2 steps plus twice the fault layer's
+	// extra delay bound.
+	extra := 0
+	if plan != nil && plan.Config().DelayRate > 0 {
+		extra = plan.Config().MaxExtraDelay
 	}
-	return o
+	p.resendAfter = 3 + 2*extra
+	return p
 }
 
 // retxEntry is one unacknowledged packet a sender is responsible for.
@@ -72,7 +72,7 @@ type retxKey struct{ to, origin int }
 // retxState is the per-node retransmission bookkeeping shared by both
 // hardened protocols.
 type retxState struct {
-	opt     ReliableOptions
+	opt     retxParams
 	plan    *FaultPlan
 	pr      Probe          // flight-recorder probe for node transitions
 	now     func() float64 // current step in timer units
@@ -80,7 +80,7 @@ type retxState struct {
 	armed   []bool
 }
 
-func newRetxState(n int, plan *FaultPlan, opt ReliableOptions) *retxState {
+func newRetxState(n int, plan *FaultPlan, opt retxParams) *retxState {
 	return &retxState{
 		opt:     opt,
 		plan:    plan,
@@ -99,7 +99,7 @@ func (s *retxState) commit(id int, key retxKey, val int, better func(new, old in
 	if e, ok := s.pending[id][key]; ok && !better(val, e.val) {
 		return // an at-least-as-strong packet is already in flight
 	}
-	s.pending[id][key] = &retxEntry{val: val, deadline: s.now() + float64(s.opt.ResendAfter)}
+	s.pending[id][key] = &retxEntry{val: val, deadline: s.now() + float64(s.opt.resendAfter)}
 	send()
 }
 
@@ -116,7 +116,7 @@ func (s *retxState) settle(id int, key retxKey, ackVal int, satisfies func(ack, 
 func (s *retxState) arm(id int, out interface{ SetTimer(int) }) {
 	if !s.armed[id] && len(s.pending[id]) > 0 {
 		s.armed[id] = true
-		out.SetTimer(s.opt.ResendAfter)
+		out.SetTimer(s.opt.resendAfter)
 	}
 }
 
@@ -148,13 +148,13 @@ func (s *retxState) onTimer(id int, out interface{ SetTimer(int) }, resend func(
 			}
 			continue
 		}
-		if e.attempts >= s.opt.Budget {
+		if e.attempts >= s.opt.budget {
 			delete(s.pending[id], key)
 			s.plan.noteAbandoned()
 			continue
 		}
 		e.attempts++
-		e.deadline = now + float64(s.opt.ResendAfter)
+		e.deadline = now + float64(s.opt.resendAfter)
 		s.plan.noteRetransmit()
 		resend(key, e.val)
 		if e.deadline < next {
@@ -188,7 +188,7 @@ type relFlood struct {
 	best []map[int]int // best[node][origin] = largest TTL adopted
 }
 
-func newRelFlood(n, ttl int, plan *FaultPlan, opt ReliableOptions) *relFlood {
+func newRelFlood(n, ttl int, plan *FaultPlan, opt retxParams) *relFlood {
 	return &relFlood{retxState: newRetxState(n, plan, opt), ttl0: ttl, best: make([]map[int]int, n)}
 }
 
@@ -251,8 +251,8 @@ func (s *relFlood) counts(member []bool) []int {
 
 // relFloodMaxRounds bounds a hardened flood generously: ttl hops, each
 // taking at most a full retransmission schedule.
-func relFloodMaxRounds(n, ttl int, opt ReliableOptions) int {
-	return (ttl+2)*(opt.Budget+2)*(opt.ResendAfter+2) + n + 4
+func relFloodMaxRounds(n, ttl int, opt retxParams) int {
+	return (ttl+2)*(opt.budget+2)*(opt.resendAfter+2) + n + 4
 }
 
 // ReliableFloodCount is FloodCount hardened against a fault plan: the
@@ -262,18 +262,14 @@ func relFloodMaxRounds(n, ttl int, opt ReliableOptions) int {
 // FloodCount. Retransmit/ack/abandon counters accumulate into the plan
 // and are reported in Result.Faults.
 func ReliableFloodCount(g *graph.Graph, member []bool, ttl int, plan *FaultPlan, opt ReliableOptions, pr Probe) ([]int, Result, error) {
-	opt = opt.withDefaults(plan)
-	s := newRelFlood(g.Len(), ttl, plan, opt)
+	p := opt.resolve(plan)
+	s := newRelFlood(g.Len(), ttl, plan, p)
 	s.pr = pr
-	maxRounds := opt.MaxSteps
-	if maxRounds == 0 {
-		maxRounds = relFloodMaxRounds(g.Len(), ttl, opt)
-	}
 	k := &Kernel[relFloodMsg]{
 		G:            g,
 		Participates: graph.InSet(member),
 		Faults:       plan,
-		MaxRounds:    maxRounds,
+		MaxRounds:    relFloodMaxRounds(g.Len(), ttl, p),
 		Obs:          pr.Obs,
 		ObsStage:     pr.Stage,
 		Init:         s.init,
@@ -295,19 +291,15 @@ func ReliableFloodCount(g *graph.Graph, member []bool, ttl int, plan *FaultPlan,
 // AsyncReliableFloodCount is ReliableFloodCount on the asynchronous
 // kernel (per-message random delays seeded by seed).
 func AsyncReliableFloodCount(g *graph.Graph, member []bool, ttl int, seed int64, plan *FaultPlan, opt ReliableOptions, pr Probe) ([]int, AsyncResult, error) {
-	opt = opt.withDefaults(plan)
-	s := newRelFlood(g.Len(), ttl, plan, opt)
+	p := opt.resolve(plan)
+	s := newRelFlood(g.Len(), ttl, plan, p)
 	s.pr = pr
-	maxEvents := opt.MaxSteps
-	if maxEvents == 0 {
-		maxEvents = 4000 * g.Len() * (opt.Budget + 2)
-	}
 	k := &AsyncKernel[relFloodMsg]{
 		G:            g,
 		Participates: graph.InSet(member),
 		Seed:         seed,
 		Faults:       plan,
-		MaxEvents:    maxEvents,
+		MaxEvents:    4000 * g.Len() * (p.budget + 2),
 		Obs:          pr.Obs,
 		ObsStage:     pr.Stage,
 		Init:         s.init,
@@ -338,7 +330,7 @@ type relLabel struct {
 	label []int
 }
 
-func newRelLabel(n int, plan *FaultPlan, opt ReliableOptions) *relLabel {
+func newRelLabel(n int, plan *FaultPlan, opt retxParams) *relLabel {
 	s := &relLabel{retxState: newRetxState(n, plan, opt), label: make([]int, n)}
 	for i := range s.label {
 		s.label[i] = NoGroup
@@ -393,19 +385,15 @@ func (s *relLabel) timer(id int, out *Outbox[relLabelMsg]) {
 // retransmission on the synchronous kernel. Idempotent by construction —
 // duplicated or stale offers never move a label upward.
 func ReliableLabelComponents(g *graph.Graph, member []bool, plan *FaultPlan, opt ReliableOptions, pr Probe) ([]int, Result, error) {
-	opt = opt.withDefaults(plan)
+	p := opt.resolve(plan)
 	n := g.Len()
-	s := newRelLabel(n, plan, opt)
+	s := newRelLabel(n, plan, p)
 	s.pr = pr
-	maxRounds := opt.MaxSteps
-	if maxRounds == 0 {
-		maxRounds = (n + 4) * (opt.Budget + 2) * (opt.ResendAfter + 2)
-	}
 	k := &Kernel[relLabelMsg]{
 		G:            g,
 		Participates: graph.InSet(member),
 		Faults:       plan,
-		MaxRounds:    maxRounds,
+		MaxRounds:    (n + 4) * (p.budget + 2) * (p.resendAfter + 2),
 		Obs:          pr.Obs,
 		ObsStage:     pr.Stage,
 		Init:         s.init,
@@ -427,19 +415,15 @@ func ReliableLabelComponents(g *graph.Graph, member []bool, plan *FaultPlan, opt
 // AsyncReliableLabelComponents is ReliableLabelComponents on the
 // asynchronous kernel.
 func AsyncReliableLabelComponents(g *graph.Graph, member []bool, seed int64, plan *FaultPlan, opt ReliableOptions, pr Probe) ([]int, AsyncResult, error) {
-	opt = opt.withDefaults(plan)
-	s := newRelLabel(g.Len(), plan, opt)
+	p := opt.resolve(plan)
+	s := newRelLabel(g.Len(), plan, p)
 	s.pr = pr
-	maxEvents := opt.MaxSteps
-	if maxEvents == 0 {
-		maxEvents = 4000 * g.Len() * (opt.Budget + 2)
-	}
 	k := &AsyncKernel[relLabelMsg]{
 		G:            g,
 		Participates: graph.InSet(member),
 		Seed:         seed,
 		Faults:       plan,
-		MaxEvents:    maxEvents,
+		MaxEvents:    4000 * g.Len() * (p.budget + 2),
 		Obs:          pr.Obs,
 		ObsStage:     pr.Stage,
 		Init:         s.init,
