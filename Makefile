@@ -2,14 +2,16 @@
 # analysis, the complete test suite under the race detector (including the
 # parallel sweep engine's scheduling-independence tests and the
 # deterministic *WorkBound work gates), a one-iteration benchmark smoke
-# pass, the end-to-end smokes, the perfbench module's vet and tests, and a
-# short fuzz pass over every fuzz target. End-to-end performance is
-# measured by perfbench/, not here.
+# pass, the trace and detector smokes, the perfbench module's vet and
+# tests, and a short fuzz pass over every fuzz target. boundaryd's serving
+# path, its HTTP API and its trace/FTDC capture are checked by go test
+# (cmd/boundaryd, internal/serve). End-to-end performance is measured by
+# perfbench/, not here.
 
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test vet race race-shard fuzz benchsmoke trace-smoke trace-stat serve-smoke mesh-smoke ftdc-smoke detector-matrix perfbench-check check ci
+.PHONY: build test vet race race-shard fuzz benchsmoke trace-smoke trace-stat detector-matrix perfbench-check check ci
 
 build:
 	$(GO) build ./...
@@ -78,35 +80,6 @@ trace-stat:
 	$(GO) run ./cmd/tracestat -trace $$dir/trace.jsonl -against $$dir/trace.jsonl && \
 	echo "trace-stat: OK"
 
-# Boundary-server smoke: boundaryd's -smoke mode starts the server on an
-# ephemeral port, POSTs a generated network over real HTTP, streams
-# scripted delta batches, and diffs every served boundary-group result
-# against a from-scratch detection of the same active node set — then
-# exercises two non-incremental detector sessions, one of which reads its
-# cached mesh across a delta batch. Nonzero exit on any divergence, HTTP failure, or trace schema
-# violation.
-serve-smoke:
-	$(GO) run ./cmd/boundaryd -smoke
-
-# Incremental-mesh gate: the engine's differential matrix (cached repair
-# vs from-scratch mesh.BuildAll, bit-identical after every scripted delta,
-# with and without SPT reuse) plus the served
-# mesh endpoint's own diffs, uncached. The boundaryd -smoke run above
-# additionally probes GET /v1/sessions/{id}/mesh mid-delta-stream over
-# real HTTP.
-mesh-smoke:
-	$(GO) test -count=1 -run 'TestMeshIncremental|TestServeMesh' ./internal/mesh ./internal/serve
-
-# FTDC capture smoke: boundaryd's smoke harness under a fast-sampling
-# binary metrics capture, then tracestat decoding the ring as a gate —
-# at least two samples (start + exact final), a schema record, and a
-# nonzero p99 for the serve and incremental stages.
-ftdc-smoke:
-	@dir=$$(mktemp -d); \
-	$(GO) run ./cmd/boundaryd -smoke -ftdc $$dir/cap -ftdc-interval 50ms && \
-	$(GO) run ./cmd/tracestat -ftdc $$dir/cap -min-samples 2 -require-p99 serve,incremental && \
-	echo "ftdc-smoke: OK"
-
 # Cross-detector comparison smoke: every registered detector over the
 # reduced standard fixtures, printing the precision/recall/cost table.
 # Proves the -run detectors path and the whole registry stay runnable.
@@ -119,18 +92,16 @@ detector-matrix:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
-check: vet race race-shard benchsmoke trace-smoke trace-stat serve-smoke mesh-smoke ftdc-smoke detector-matrix perfbench-check fuzz
+check: vet race race-shard benchsmoke trace-smoke trace-stat detector-matrix perfbench-check fuzz
 
 # The cache-defeating correctness gate for CI and pre-merge runs: gofmt and
 # static analysis, the full test suite with result caching off, so every
-# package really re-executes, then the end-to-end server and detector
-# smokes and the perfbench module's vet and tests.
+# package really re-executes (boundaryd's serving path and the served
+# sessions' differential checks included), then the detector smoke and the
+# perfbench module's vet and tests.
 ci:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -count=1 ./...
-	$(MAKE) serve-smoke
-	$(MAKE) mesh-smoke
-	$(MAKE) ftdc-smoke
 	$(MAKE) detector-matrix
 	$(MAKE) perfbench-check

@@ -12,8 +12,6 @@
 // -ftdc decodes the binary delta-encoded metrics ring that boundaryd and
 // the CLIs write under their -ftdc flag: capture stats, the final
 // sample's counter totals, and per-stage latency quantiles.
-// -min-samples and -require-p99 turn the single-directory mode into a CI
-// gate (`make ftdc-smoke`).
 //
 // Exit status: 0 when clean, 1 when the diff found a regression (or, with
 // -fail-on-anomaly, when the trace shows an anomaly), 2 on usage or I/O
@@ -31,7 +29,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/cli"
@@ -46,9 +43,7 @@ type options struct {
 	Against string
 	Out     string
 
-	FTDC       string
-	MinSamples int
-	RequireP99 string
+	FTDC string
 
 	TolCount float64
 	TolRound int
@@ -62,8 +57,6 @@ func registerFlags(fs *flag.FlagSet, opts *options) {
 	fs.StringVar(&opts.Against, "against", "", "second trace or capture to diff against (same kind as the first input)")
 	fs.StringVar(&opts.Out, "out", "", "write the report as a JSON envelope to this path")
 	fs.StringVar(&opts.FTDC, "ftdc", "", "FTDC capture directory to analyze (input; -against diffs a second directory)")
-	fs.IntVar(&opts.MinSamples, "min-samples", 0, "ftdc: fail unless the capture holds at least this many samples")
-	fs.StringVar(&opts.RequireP99, "require-p99", "", "ftdc: comma-separated stages whose final p99 latency must be nonzero")
 	fs.Float64Var(&opts.TolCount, "tol-count", 0, "trace diff: allowed fractional drift per counter total (0 = exact)")
 	fs.IntVar(&opts.TolRound, "tol-rounds", 0, "trace diff: allowed absolute drift per stage round count")
 	fs.Float64Var(&opts.TolWall, "tol-wall", -1, "trace diff: allowed fractional wall-time drift per stage (negative = ignore wall time)")
@@ -139,16 +132,15 @@ func loadTrace(path string) (*analyze.Trace, error) {
 }
 
 // writeReport emits the optional JSON envelope. Its params name the
-// inputs of the mode that ran: the trace or the FTDC capture (with the
-// capture gates), and what it was diffed against.
+// inputs of the mode that ran: the trace or the FTDC capture, and what
+// it was diffed against.
 func writeReport(opts options, rep report) error {
 	if opts.Out == "" {
 		return nil
 	}
 	params := map[string]any{"trace": opts.Trace, "against": opts.Against}
 	if opts.FTDC != "" {
-		params = map[string]any{"ftdc": opts.FTDC, "against": opts.Against,
-			"min_samples": opts.MinSamples, "require_p99": opts.RequireP99}
+		params = map[string]any{"ftdc": opts.FTDC, "against": opts.Against}
 	}
 	return cli.WriteEnvelope(opts.Out, cli.Envelope{Tool: "tracestat", Params: params, Data: rep})
 }
@@ -200,8 +192,7 @@ func totalTransitions(sum obs.TraceSummary) int {
 }
 
 // analyzeFTDC decodes a capture directory: capture stats, the final
-// sample's counter totals, and per-stage latency quantiles. -min-samples
-// and -require-p99 turn it into a CI gate (exit 1 when unmet).
+// sample's counter totals, and per-stage latency quantiles.
 func analyzeFTDC(w io.Writer, opts options) error {
 	samples, stats, err := ftdc.ReadDir(opts.FTDC)
 	if err != nil {
@@ -236,26 +227,7 @@ func analyzeFTDC(w io.Writer, opts options) error {
 				time.Duration(stat.P99NS), time.Duration(stat.MaxNS))
 		}
 	}
-	if err := writeReport(opts, report{Mode: "ftdc", FTDC: &ftdcReport{DirStats: stats, Counters: counters, Latencies: lats}}); err != nil {
-		return err
-	}
-
-	// Gates for make ftdc-smoke.
-	if opts.MinSamples > 0 && stats.Samples < opts.MinSamples {
-		return fmt.Errorf("%w: %d samples, want >= %d", errFindings, stats.Samples, opts.MinSamples)
-	}
-	if opts.RequireP99 != "" {
-		for _, st := range strings.Split(opts.RequireP99, ",") {
-			st = strings.TrimSpace(st)
-			if st == "" {
-				continue
-			}
-			if stat, ok := lats[st]; !ok || stat.P99NS <= 0 {
-				return fmt.Errorf("%w: stage %q has no p99 latency in the final sample", errFindings, st)
-			}
-		}
-	}
-	return nil
+	return writeReport(opts, report{Mode: "ftdc", FTDC: &ftdcReport{DirStats: stats, Counters: counters, Latencies: lats}})
 }
 
 // diffFTDC compares -against (old capture) to -ftdc (new capture) by

@@ -1,9 +1,9 @@
 // Package cli unifies the flag surface and output conventions of the
-// repository's commands (boundary3d, experiment, netgen): one Common
-// options block registering the shared -seed, -workers, -shards,
-// -detector, -out, -trace and -pprof flags; one Session wiring those
-// options into the obs layer
-// (JSONL trace writer, pprof capture); and one JSON output envelope so
+// repository's commands (boundary3d, boundaryd, experiment, netgen): one
+// Common options block registering the shared -seed, -workers, -shards,
+// -detector, -out, -trace, -pprof and -ftdc flags; one Session wiring
+// those options into the obs layer (JSONL trace writer, pprof capture,
+// FTDC metrics ring); and one JSON output envelope so
 // every command's -out file has the same machine-readable framing.
 package cli
 

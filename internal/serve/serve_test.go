@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -382,7 +383,8 @@ func edgeMove(t *testing.T, pos []geom.Vec3, active []bool, radius float64, cfg 
 }
 
 // TestServeSessionLifecycle drives the full API end to end: create from
-// an envelope, stream delta batches, diff the served result against a
+// an envelope, stream delta batches of joins, moves, leaves and crashes,
+// check each batch's joined IDs and diff the served result against a
 // full recompute after every batch, list, delete.
 func TestServeSessionLifecycle(t *testing.T) {
 	net := testNetwork(t)
@@ -403,14 +405,18 @@ func TestServeSessionLifecycle(t *testing.T) {
 	cfg := core.Config{}
 	diffServed(t, ts.URL, sum.Session, pos, active, net.Radius, cfg)
 
+	// The op mix covers every delta kind. A join takes the next stable
+	// ID, so the mirror predicts each batch's joined IDs in order.
 	rng := rand.New(rand.NewSource(9))
 	applied := int64(0)
 	for batch := 0; batch < 4; batch++ {
 		var wire []map[string]any
+		var joins []int
 		for k := 0; k < 4; k++ {
-			switch rng.Intn(3) {
+			switch op := rng.Intn(4); op {
 			case 0:
 				p := geom.V(rng.Float64()*8-4, rng.Float64()*8-4, rng.Float64()*8-4)
+				joins = append(joins, len(pos))
 				pos = append(pos, p)
 				active = append(active, true)
 				wire = append(wire, map[string]any{"op": "join", "pos": map[string]float64{"x": p.X, "y": p.Y, "z": p.Z}})
@@ -428,7 +434,11 @@ func TestServeSessionLifecycle(t *testing.T) {
 					id = rng.Intn(len(active))
 				}
 				active[id] = false
-				wire = append(wire, map[string]any{"op": "leave", "node": id})
+				kind := "leave"
+				if op == 3 {
+					kind = "crash"
+				}
+				wire = append(wire, map[string]any{"op": kind, "node": id})
 			}
 		}
 		body, _ := json.Marshal(map[string]any{"deltas": wire})
@@ -437,6 +447,9 @@ func TestServeSessionLifecycle(t *testing.T) {
 		applied += int64(len(wire))
 		if resp.Applied != len(wire) || resp.Summary.DeltasApplied != applied {
 			t.Fatalf("batch %d: applied %d/%d, total %d want %d", batch, resp.Applied, len(wire), resp.Summary.DeltasApplied, applied)
+		}
+		if !slices.Equal(resp.Joined, joins) {
+			t.Fatalf("batch %d: joined IDs %v, mirror predicts %v", batch, resp.Joined, joins)
 		}
 		diffServed(t, ts.URL, sum.Session, pos, active, net.Radius, cfg)
 	}
