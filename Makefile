@@ -70,14 +70,17 @@ trace-smoke:
 	$(GO) run ./cmd/experiment -run faults -async -scale 0.15 -trace $$dir/trace.jsonl && \
 	test -s $$dir/trace.jsonl && echo "trace-smoke: OK ($$dir/trace.jsonl)"
 
-# Flight-recorder analytics smoke: record a round-resolved trace, then run
-# tracestat over it (curves + anomaly scan) and over the same trace twice
+# Flight-recorder analytics smoke: record a round-resolved trace and an
+# FTDC capture of the same run, then run tracestat over each (curves +
+# anomaly scan; capture stats + final-sample totals) and over each twice
 # as an identity diff, which must exit zero.
 trace-stat:
 	@dir=$$(mktemp -d); \
-	$(GO) run ./cmd/experiment -run faults -async -scale 0.15 -trace $$dir/trace.jsonl && \
+	$(GO) run ./cmd/experiment -run faults -async -scale 0.15 -trace $$dir/trace.jsonl -ftdc $$dir/ftdc && \
 	$(GO) run ./cmd/tracestat -trace $$dir/trace.jsonl -out $$dir/report.json && \
 	$(GO) run ./cmd/tracestat -trace $$dir/trace.jsonl -against $$dir/trace.jsonl && \
+	$(GO) run ./cmd/tracestat -ftdc $$dir/ftdc && \
+	$(GO) run ./cmd/tracestat -ftdc $$dir/ftdc -against $$dir/ftdc && \
 	echo "trace-stat: OK"
 
 # Cross-detector comparison smoke: every registered detector over the

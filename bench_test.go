@@ -178,7 +178,7 @@ func benchScenario(b *testing.B, sc eval.Scenario) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.RunScenario(sc, 0, core.Config{}, mesh.Config{K: 3}); err != nil {
+		if _, err := eval.RunScenarioContext(context.Background(), nil, sc, 0, core.Config{}, mesh.Config{K: 3}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,7 +207,7 @@ func BenchmarkFig11Sweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.RunAggregateSweep(scenarios, levels, core.Config{}); err != nil {
+		if _, err := (eval.Engine{}).AggregateSweep(scenarios, levels, core.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -201,7 +201,7 @@ func run(w io.Writer, opts options) error {
 		return err
 	}
 	if opts.Trace != "" {
-		fmt.Fprintf(w, "trace: %d events -> %s\n", sess.Summary.Events, opts.Trace)
+		fmt.Fprintf(w, "trace: %d events -> %s\n", sess.Events, opts.Trace)
 	}
 	return nil
 }

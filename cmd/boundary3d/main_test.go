@@ -84,7 +84,7 @@ func TestRunTraceAndSummaryEnvelope(t *testing.T) {
 		t.Fatalf("trace failed validation: %v", err)
 	}
 	for _, s := range []obs.Stage{obs.StageDetect, obs.StageUBF, obs.StageSurface, obs.StageTriangulate} {
-		if sum.Spans[s] == 0 {
+		if sum.Spans(s) == 0 {
 			t.Errorf("no %s spans in trace", s)
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/export"
 	"repro/internal/geom"
 	"repro/internal/netgen"
+	"repro/internal/obs"
 	"repro/internal/obs/ftdc"
 	"repro/internal/serve"
 	"repro/internal/shapes"
@@ -185,9 +186,10 @@ func TestServeAndShutdown(t *testing.T) {
 	if stats.Samples < 2 || stats.SchemaChanges < 1 {
 		t.Errorf("ftdc capture: %d samples, %d schema records; want >= 2 and >= 1", stats.Samples, stats.SchemaChanges)
 	}
-	final := samples[len(samples)-1]
-	for _, stage := range []string{"serve", "incremental"} {
-		if p99 := ftdc.Latency(final, stage).Stats().P99NS; p99 <= 0 {
+	var final obs.Metrics
+	final.Load(samples[len(samples)-1].Metrics)
+	for _, stage := range []obs.Stage{obs.StageServe, obs.StageIncremental} {
+		if p99 := final.Latency(stage).Stats().P99NS; p99 <= 0 {
 			t.Errorf("ftdc final sample: stage %q p99 = %d, want > 0", stage, p99)
 		}
 	}

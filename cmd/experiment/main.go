@@ -451,8 +451,8 @@ func run(w io.Writer, opts options) error {
 	}
 	if opts.Trace != "" {
 		fmt.Fprintf(w, "\ntrace: %d events (%d experiment spans, %d cell spans, %d detect spans) -> %s\n",
-			sess.Summary.Events, sess.Summary.Spans[obs.StageExperiment],
-			sess.Summary.Spans[obs.StageCell], sess.Summary.Spans[obs.StageDetect], opts.Trace)
+			sess.Events, sess.Summary.Spans(obs.StageExperiment),
+			sess.Summary.Spans(obs.StageCell), sess.Summary.Spans(obs.StageDetect), opts.Trace)
 	}
 	fmt.Fprintf(w, "\ndone in %s\n", time.Since(start).Round(time.Millisecond))
 	return nil

@@ -184,15 +184,15 @@ func TestRunTraceAndEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	sum, err := obs.ValidateTrace(f)
+	events, sum, err := obs.ReadTrace(f)
 	if err != nil {
 		t.Fatalf("trace failed validation: %v", err)
 	}
-	if sum.Events == 0 {
+	if len(events) == 0 {
 		t.Fatal("empty trace")
 	}
 	for _, s := range []obs.Stage{obs.StageDetect, obs.StageUBF, obs.StageIFF, obs.StageGrouping, obs.StageExperiment, obs.StageCell} {
-		if sum.Spans[s] == 0 {
+		if sum.Spans(s) == 0 {
 			t.Errorf("no %s spans in trace", s)
 		}
 	}

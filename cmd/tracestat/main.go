@@ -155,8 +155,9 @@ func analyzeTrace(w io.Writer, opts options) error {
 	curves := analyze.Convergence(tr.Events)
 	anomalies := analyze.FindAnomalies(tr)
 
+	_, rounds, _ := tr.Summary.Tallies()
 	fmt.Fprintf(w, "%s: %d events, %d stages with rounds, %d transitions\n",
-		opts.Trace, tr.Summary.Events, len(tr.Summary.Rounds), totalTransitions(tr.Summary))
+		opts.Trace, len(tr.Events), len(rounds), totalTransitions(tr.Summary))
 	for _, c := range curves {
 		fmt.Fprintf(w, "\nconvergence %s (%d rounds):\n", c.Stage, len(c.Points))
 		fmt.Fprintf(w, "  %7s %9s %10s %9s %8s %8s %7s\n", "round", "sent", "delivered", "dropped", "dup", "delayed", "active")
@@ -183,10 +184,10 @@ func analyzeTrace(w io.Writer, opts options) error {
 	return nil
 }
 
-func totalTransitions(sum obs.TraceSummary) int {
+func totalTransitions(sum *obs.Metrics) int {
 	n := 0
-	for _, c := range sum.Transitions {
-		n += c
+	for t := obs.Transition(1); t.String() != "trans?"; t++ {
+		n += sum.Transitions(t)
 	}
 	return n
 }
@@ -194,12 +195,11 @@ func totalTransitions(sum obs.TraceSummary) int {
 // analyzeFTDC decodes a capture directory: capture stats, the final
 // sample's counter totals, and per-stage latency quantiles.
 func analyzeFTDC(w io.Writer, opts options) error {
-	samples, stats, err := ftdc.ReadDir(opts.FTDC)
+	final, stats, err := readFinal(opts.FTDC)
 	if err != nil {
 		return err
 	}
-	final := samples[len(samples)-1]
-	counters := ftdc.CounterTotals(final)
+	counters := final.Totals()
 	fmt.Fprintf(w, "%s: %d samples in %d segments, %d schema changes\n",
 		opts.FTDC, stats.Samples, stats.Segments, stats.SchemaChanges)
 
@@ -214,14 +214,17 @@ func analyzeFTDC(w io.Writer, opts options) error {
 			fmt.Fprintf(w, "  %-36s %14d\n", k, counters[k])
 		}
 	}
-	lats := make(map[string]obs.LatencyStats)
-	stages := ftdc.LatencyStages(final)
+	lats := final.LatencySummaries()
+	stages := make([]string, 0, len(lats))
+	for st := range lats {
+		stages = append(stages, st)
+	}
+	sort.Strings(stages)
 	if len(stages) > 0 {
 		fmt.Fprintf(w, "\nlatency (final sample):\n")
 		fmt.Fprintf(w, "  %-14s %8s %12s %12s %12s %12s\n", "stage", "spans", "p50", "p95", "p99", "max")
 		for _, st := range stages {
-			stat := ftdc.Latency(final, st).Stats()
-			lats[st] = stat
+			stat := lats[st]
 			fmt.Fprintf(w, "  %-14s %8d %12s %12s %12s %12s\n", st, stat.Count,
 				time.Duration(stat.P50NS), time.Duration(stat.P95NS),
 				time.Duration(stat.P99NS), time.Duration(stat.MaxNS))
@@ -230,21 +233,33 @@ func analyzeFTDC(w io.Writer, opts options) error {
 	return writeReport(opts, report{Mode: "ftdc", FTDC: &ftdcReport{DirStats: stats, Counters: counters, Latencies: lats}})
 }
 
+// readFinal decodes a capture directory and loads its final sample — the
+// run's cumulative totals — into a Metrics.
+func readFinal(dir string) (*obs.Metrics, ftdc.DirStats, error) {
+	samples, stats, err := ftdc.ReadDir(dir)
+	if err != nil {
+		return nil, stats, err
+	}
+	if len(samples) == 0 {
+		return nil, stats, fmt.Errorf("%s: capture holds no samples", dir)
+	}
+	m := &obs.Metrics{}
+	m.Load(samples[len(samples)-1].Metrics)
+	return m, stats, nil
+}
+
 // diffFTDC compares -against (old capture) to -ftdc (new capture) by
-// projecting both final samples onto trace summaries and reusing the
-// trace diff tolerances.
+// loading both final samples and reusing the trace diff tolerances.
 func diffFTDC(w io.Writer, opts options) error {
-	oldS, _, err := ftdc.ReadDir(opts.Against)
+	oldM, _, err := readFinal(opts.Against)
 	if err != nil {
 		return err
 	}
-	newS, _, err := ftdc.ReadDir(opts.FTDC)
+	newM, _, err := readFinal(opts.FTDC)
 	if err != nil {
 		return err
 	}
-	rep := analyze.DiffTraces(
-		ftdc.Summary(oldS[len(oldS)-1]),
-		ftdc.Summary(newS[len(newS)-1]),
+	rep := analyze.DiffTraces(oldM, newM,
 		analyze.Tolerances{
 			CounterFrac: opts.TolCount,
 			RoundSlack:  opts.TolRound,

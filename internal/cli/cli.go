@@ -106,9 +106,10 @@ type Session struct {
 	// -ftdc are both unset, so unobserved runs keep the zero-cost no-op
 	// path.
 	Obs obs.Observer
-	// Summary aggregates the validated trace after Close; zero without
-	// -trace.
-	Summary obs.TraceSummary
+	// Summary aggregates the validated trace after Close, and Events
+	// counts its lines; nil and zero without -trace.
+	Summary *obs.Metrics
+	Events  int
 	// Metrics is the always-on aggregation sink behind -ftdc; nil when
 	// -ftdc is unset. Live reads (LatencySummaries, Totals) are safe
 	// while the run is in flight.
@@ -199,7 +200,8 @@ func AllDetectorVocabStages() []obs.Stage {
 
 // Close stops profiling, flushes and closes the trace, then re-reads the
 // written file and validates it against the trace schema, storing the
-// aggregate in Summary. Safe on a zero-option session.
+// aggregate in Summary and the line count in Events. Safe on a
+// zero-option session.
 func (s *Session) Close() error {
 	if s == nil {
 		return nil
@@ -241,12 +243,15 @@ func (s *Session) Close() error {
 				firstErr = err
 			}
 		} else {
-			sum, verr := obs.ValidateTraceVocab(f, s.vocab)
+			events, sum, verr := obs.ReadTrace(f)
 			f.Close()
+			if verr == nil {
+				verr = sum.CheckVocab(s.vocab)
+			}
 			if verr != nil && firstErr == nil {
 				firstErr = fmt.Errorf("cli: trace failed schema validation: %w", verr)
 			}
-			s.Summary = sum
+			s.Summary, s.Events = sum, len(events)
 		}
 	}
 	return firstErr

@@ -81,11 +81,11 @@ func TestSessionTraceLifecycle(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Summary.Events != 3 {
-		t.Errorf("summary events = %d, want 3", s.Summary.Events)
+	if s.Events != 3 {
+		t.Errorf("trace events = %d, want 3", s.Events)
 	}
 	if s.Summary.Total(obs.StageUBF, obs.CtrBallsTested) != 3 {
-		t.Errorf("summary counters wrong: %+v", s.Summary.Counters)
+		t.Errorf("summary counters wrong: %v", s.Summary.Totals())
 	}
 	if _, err := os.Stat(trace); err != nil {
 		t.Errorf("trace file missing: %v", err)

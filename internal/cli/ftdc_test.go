@@ -14,13 +14,14 @@ import (
 )
 
 // TestSessionFTDCExactCapture is the acceptance gate for the capture
-// path: a -ftdc session's decoded ring must report the SAME counter
-// totals as an in-memory obs sink fed the identical event stream —
-// exact equality, not tolerance — and carry per-stage latency
-// quantiles.
+// path: one run yields one aggregate. A session with both -trace and
+// -ftdc runs a detection; the trace replayed at Close must snapshot to
+// exactly the final ring sample (minus the sampler's ts/unix_ns stamp),
+// key for key and latency buckets included, and so must an in-memory
+// sink fed the same event stream — exact equality, not tolerance.
 func TestSessionFTDCExactCapture(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ftdc")
-	c := cli.Common{FTDC: dir}
+	c := cli.Common{FTDC: dir, Trace: filepath.Join(t.TempDir(), "trace.jsonl")}
 	sess, err := c.Start()
 	if err != nil {
 		t.Fatal(err)
@@ -53,18 +54,25 @@ func TestSessionFTDCExactCapture(t *testing.T) {
 	if stats.Samples != sess.FTDC.Samples {
 		t.Fatalf("decoded %d samples, ring wrote %d", stats.Samples, sess.FTDC.Samples)
 	}
-	final := samples[len(samples)-1]
-	got, want := ftdc.CounterTotals(final), mem.Totals()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("decoded ring diverged from the in-memory sink:\n ring %v\n mem  %v", got, want)
+	var ring []obs.Metric
+	for _, m := range samples[len(samples)-1].Metrics {
+		if m.Key != "ts/unix_ns" {
+			ring = append(ring, m)
+		}
+	}
+	if got := sess.Summary.Snapshot(nil); !reflect.DeepEqual(got, ring) {
+		t.Fatalf("replayed trace diverged from the final ring sample:\n trace %v\n ring  %v", got, ring)
+	}
+	if got := mem.Snapshot(nil); !reflect.DeepEqual(got, ring) {
+		t.Fatalf("in-memory sink diverged from the final ring sample:\n mem  %v\n ring %v", got, ring)
 	}
 	// Per-stage latency quantiles are present for every spanned stage.
 	for _, stage := range []obs.Stage{obs.StageDetect, obs.StageUBF, obs.StageIFF} {
-		stat := ftdc.Latency(final, stage.String()).Stats()
-		if stat.Count != int64(mem.Spans(stage)) {
-			t.Fatalf("stage %s: ring has %d spans, mem %d", stage, stat.Count, mem.Spans(stage))
+		stat := sess.Summary.Latency(stage).Stats()
+		if stat.Count == 0 || stat.Count != int64(mem.Spans(stage)) {
+			t.Fatalf("stage %s: trace has %d spans, mem %d", stage, stat.Count, mem.Spans(stage))
 		}
-		if stat.Count > 0 && (stat.P50NS <= 0 || stat.P99NS < stat.P50NS || stat.MaxNS < stat.P99NS) {
+		if stat.P50NS <= 0 || stat.P99NS < stat.P50NS || stat.MaxNS < stat.P99NS {
 			t.Fatalf("stage %s: quantiles not sane: %+v", stage, stat)
 		}
 	}

@@ -50,7 +50,7 @@ type DetectorVocab struct {
 	// starting with StageDetect.
 	Stages []obs.Stage
 	// WorkKeys names the "stage/counter" roll-up keys (the
-	// obs.Mem.Totals key format) measuring the detector's primary
+	// obs.Metrics.Totals key format) measuring the detector's primary
 	// per-node work, e.g. "ubf/balls_tested" for the paper pipeline.
 	WorkKeys []string
 	// FloodStages lists the stages that run message-passing floods and

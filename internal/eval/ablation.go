@@ -20,22 +20,6 @@ type AblationRow struct {
 	Observed map[string]int64
 }
 
-// RunAblations compares the paper's design choices on one network at one
-// ranging-error level:
-//
-//   - the full pipeline (two-hop scope, MDS frames, IFF);
-//   - UBF without IFF (Sec. II-B's motivation);
-//   - the literal one-hop Algorithm 1 scope (with and without IFF);
-//   - the true-coordinate oracle (localization removed);
-//   - unit-ball radius factors (hole-size selectivity, Sec. II-A3);
-//   - IFF threshold/TTL variants around the icosahedron defaults;
-//   - the degree-threshold baseline.
-//
-// Variants run on the default Engine pool in a fixed row order.
-func RunAblations(net *netgen.Network, errorFrac float64, seed int64) ([]AblationRow, error) {
-	return Engine{}.Ablations(net, errorFrac, seed)
-}
-
 // ablationVariant is one pipeline configuration of the ablation study.
 // run receives the study cell's context and observer.
 type ablationVariant struct {

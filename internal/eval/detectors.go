@@ -113,14 +113,14 @@ func (e Engine) DetectorMatrix(scenarios []Scenario, detectors []string, cfg cor
 		// Counters come from the first run only (repeats are
 		// bit-identical); every run's wall time lands in lat via a
 		// StageDetect span, so the cell reports sustained-cost quantiles.
-		mem := &obs.Mem{}
+		ctrs := &obs.Metrics{}
 		lat := &obs.Metrics{}
 		cellObs, _, span := e.cellStart(fmt.Sprintf("%s/%s", sc.Name, det.Name()))
 		var res *core.Result
 		for r := 0; r < runs; r++ {
 			var runObs obs.Observer
 			if r == 0 {
-				runObs = obs.Tee(cellObs, mem)
+				runObs = obs.Tee(cellObs, ctrs)
 			}
 			sp := obs.Start(lat, obs.StageDetect)
 			rres, err := core.DetectContext(context.Background(), runObs, net, nil, c)
@@ -139,7 +139,7 @@ func (e Engine) DetectorMatrix(scenarios []Scenario, detectors []string, cfg cor
 			return err
 		}
 		cell := metrics.DetectorCell{Detector: det.Name(), Fixture: sc.Name, Classification: class}
-		cell.Messages, cell.Rounds, cell.Work = vocabTotals(det, mem.Totals())
+		cell.Messages, cell.Rounds, cell.Work = vocabTotals(det, ctrs.Totals())
 		cell.Runs = runs
 		snap := lat.Latency(obs.StageDetect)
 		cell.P50NS, cell.P99NS = snap.Quantile(0.50), snap.Quantile(0.99)

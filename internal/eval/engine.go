@@ -45,28 +45,32 @@ type Engine struct {
 }
 
 // cellStart opens one evaluation cell: a labeled span on the engine's
-// observer plus a per-cell recorder teed into it, so the cell's counters
+// observer plus a per-cell Metrics teed into it, so the cell's counters
 // can be rolled up onto its result row. Everything is nil/inert when the
 // engine is unobserved.
-func (e Engine) cellStart(label string) (obs.Observer, *obs.Mem, obs.Span) {
+func (e Engine) cellStart(label string) (obs.Observer, *obs.Metrics, obs.Span) {
 	if e.Obs == nil {
 		return nil, nil, obs.Span{}
 	}
-	mem := &obs.Mem{}
-	return obs.Tee(e.Obs, mem), mem, obs.StartLabeled(e.Obs, obs.StageCell, label)
+	m := &obs.Metrics{}
+	return obs.Tee(e.Obs, m), m, obs.StartLabeled(e.Obs, obs.StageCell, label)
 }
 
-// rollup flattens a cell recorder's totals; a nil recorder yields nil.
-func rollup(m *obs.Mem) map[string]int64 {
+// rollup flattens a cell's counter totals; a nil Metrics yields nil.
+func rollup(m *obs.Metrics) map[string]int64 {
 	if m == nil {
 		return nil
 	}
 	return m.Totals()
 }
 
-// ErrorSweep is the pooled RunErrorSweep: levels run concurrently, each
-// with the measurement seed the serial loop would have used
-// (seed + level index).
+// ErrorSweep measures one network across distance-measurement error
+// levels: at each level the network is re-ranged with the paper's uniform
+// model, the full detection pipeline runs on MDS coordinates, and the
+// outcome is classified against ground truth. Level 0 uses exact ranging.
+// Levels run concurrently, each with the measurement seed a serial loop
+// would use (seed + level index), so the result is identical to a serial
+// run.
 func (e Engine) ErrorSweep(net *netgen.Network, name string, levels []float64, cfg core.Config, seed int64) (SweepResult, error) {
 	res := SweepResult{Scenario: name, Points: make([]SweepPoint, len(levels))}
 	truth := net.TrueBoundary()
@@ -92,10 +96,12 @@ func (e Engine) ErrorSweep(net *netgen.Network, name string, levels []float64, c
 	return res, nil
 }
 
-// AggregateSweep is the pooled RunAggregateSweep: all (scenario, level)
-// cells run concurrently — network generation is per scenario, guarded so
-// it happens once — and the per-level reports are folded in scenario
-// order, matching the serial accumulation exactly.
+// AggregateSweep runs the error sweep over several scenarios and sums
+// the reports per error level — the >10 000-boundary-node aggregate of
+// Fig. 11. All (scenario, level) cells run concurrently — network
+// generation is per scenario, so it happens once — and the per-level
+// reports are folded in scenario order, matching the serial accumulation
+// exactly.
 func (e Engine) AggregateSweep(scenarios []Scenario, levels []float64, cfg core.Config) (SweepResult, error) {
 	agg := SweepResult{Scenario: "aggregate"}
 	agg.Points = make([]SweepPoint, len(levels))
@@ -120,8 +126,8 @@ func (e Engine) AggregateSweep(scenarios []Scenario, levels []float64, cfg core.
 		return SweepResult{}, err
 	}
 
-	// Phase 2: every (scenario, level) cell, seeded exactly as the
-	// serial RunErrorSweep call inside RunAggregateSweep seeds it.
+	// Phase 2: every (scenario, level) cell, seeded exactly as a serial
+	// per-scenario error sweep seeds it.
 	cells := make([]metrics.Report, len(scenarios)*len(levels))
 	truths := make([][]bool, len(scenarios))
 	for si, net := range nets {
@@ -159,9 +165,15 @@ func (e Engine) AggregateSweep(scenarios []Scenario, levels []float64, cfg core.
 	return agg, nil
 }
 
-// FaultSweep is the pooled RunFaultSweep: loss levels run concurrently,
-// each with the serial loop's fault seed (seed + 101·level index) and
-// measurement seed (seed + level index).
+// FaultSweep measures one network across message-loss levels. At each
+// level the full pipeline runs with the fault layer injecting unbounded
+// random loss (no per-link cap, so delivery is NOT guaranteed) and the
+// hardened retransmitting floods doing their best within their fixed
+// budget of 3 retransmissions per packet; the outcome is classified
+// against ground truth. Level 0 reproduces the fault-free run.
+// Measurement error is fixed at errorFrac with exact ranging when zero.
+// Loss levels run concurrently, each with a serial loop's fault seed
+// (seed + 101·level index) and measurement seed (seed + level index).
 func (e Engine) FaultSweep(net *netgen.Network, name string, lossRates []float64, errorFrac float64, cfg core.Config, seed int64) (FaultSweepResult, error) {
 	res := FaultSweepResult{Scenario: name, Points: make([]FaultPoint, len(lossRates))}
 	truth := net.TrueBoundary()
@@ -199,9 +211,19 @@ func (e Engine) FaultSweep(net *netgen.Network, name string, lossRates []float64
 	return res, nil
 }
 
-// Ablations is the pooled RunAblations: the pipeline variants run
-// concurrently on the shared network and measurement; rows keep the fixed
-// variant order.
+// Ablations compares the paper's design choices on one network at one
+// ranging-error level:
+//
+//   - the full pipeline (two-hop scope, MDS frames, IFF);
+//   - UBF without IFF (Sec. II-B's motivation);
+//   - the literal one-hop Algorithm 1 scope (with and without IFF);
+//   - the true-coordinate oracle (localization removed);
+//   - unit-ball radius factors (hole-size selectivity, Sec. II-A3);
+//   - IFF threshold/TTL variants around the icosahedron defaults;
+//   - the degree-threshold baseline.
+//
+// The variants run concurrently on the shared network and measurement;
+// rows keep the fixed variant order.
 func (e Engine) Ablations(net *netgen.Network, errorFrac float64, seed int64) ([]AblationRow, error) {
 	return e.AblationsCfg(net, errorFrac, seed, core.Config{})
 }

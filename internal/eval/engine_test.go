@@ -66,9 +66,9 @@ func TestEngineSchedulingIndependence(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesSerialWrappers: the Run* entry points delegate to the
-// pool; their results must equal a Workers=1 Engine run exactly.
-func TestEngineMatchesSerialWrappers(t *testing.T) {
+// TestDefaultEngineMatchesSerial: the zero-value Engine's pool must
+// reproduce a Workers=1 Engine run exactly.
+func TestDefaultEngineMatchesSerial(t *testing.T) {
 	net, err := smallFig10().Generate()
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestEngineMatchesSerialWrappers(t *testing.T) {
 	levels := []float64{0, 0.5}
 	cfg := core.Config{}
 
-	fromWrapper, err := RunErrorSweep(net, "test", levels, cfg, 1)
+	fromPool, err := Engine{}.ErrorSweep(net, "test", levels, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestEngineMatchesSerialWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fromWrapper, fromEngine) {
-		t.Fatal("RunErrorSweep diverges from the serial engine")
+	if !reflect.DeepEqual(fromPool, fromEngine) {
+		t.Fatal("the default pool's ErrorSweep diverges from the serial engine")
 	}
 }

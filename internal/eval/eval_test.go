@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestRunErrorSweepShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	levels := []float64{0, 0.5, 1.0}
-	sweep, err := RunErrorSweep(net, "test", levels, core.Config{}, 1)
+	sweep, err := Engine{}.ErrorSweep(net, "test", levels, core.Config{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestRunErrorSweepShape(t *testing.T) {
 func TestRunAggregateSweep(t *testing.T) {
 	scenarios := []Scenario{Fig10().Scaled(0.25), Fig1().Scaled(0.15)}
 	levels := []float64{0, 0.6}
-	agg, err := RunAggregateSweep(scenarios, levels, core.Config{})
+	agg, err := Engine{}.AggregateSweep(scenarios, levels, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestRunAggregateSweep(t *testing.T) {
 }
 
 func TestRunScenario(t *testing.T) {
-	rep, err := RunScenario(smallFig10(), 0, core.Config{}, mesh.Config{K: 4})
+	rep, err := RunScenarioContext(context.Background(), nil, smallFig10(), 0, core.Config{}, mesh.Config{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestRunAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := RunAblations(net, 0.2, 3)
+	rows, err := Engine{}.Ablations(net, 0.2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

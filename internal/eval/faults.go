@@ -3,9 +3,7 @@ package eval
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/netgen"
 )
 
 // FaultPoint is one loss level of a fault sweep.
@@ -25,20 +23,6 @@ type FaultPoint struct {
 type FaultSweepResult struct {
 	Scenario string
 	Points   []FaultPoint
-}
-
-// RunFaultSweep measures one network across message-loss levels. At each
-// level the full pipeline runs with the fault layer injecting unbounded
-// random loss (no per-link cap, so delivery is NOT guaranteed) and the
-// hardened retransmitting floods doing their best within their fixed
-// budget of 3 retransmissions per packet; the outcome is classified
-// against ground truth.
-// Level 0 reproduces the fault-free run. Measurement error is fixed at
-// errorFrac with exact ranging when zero.
-// Loss levels run on the default Engine pool; per-level seeding keeps the
-// result identical to a serial run.
-func RunFaultSweep(net *netgen.Network, name string, lossRates []float64, errorFrac float64, cfg core.Config, seed int64) (FaultSweepResult, error) {
-	return Engine{}.FaultSweep(net, name, lossRates, errorFrac, cfg, seed)
 }
 
 // FaultSweepRows renders a fault sweep as a table: detection quality

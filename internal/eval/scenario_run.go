@@ -30,19 +30,11 @@ type ScenarioReport struct {
 	Routing    routing.Stats
 }
 
-// RunScenario deploys one scenario, detects its boundaries at the given
-// ranging error, reconstructs every boundary surface, and runs the greedy
-// routing experiment on the largest one.
-//
-// Deprecated: kept as a thin wrapper; new code should call
-// RunScenarioContext, which adds cancellation and observer injection.
-func RunScenario(sc Scenario, errorFrac float64, detectCfg core.Config, meshCfg mesh.Config) (*ScenarioReport, error) {
-	return RunScenarioContext(context.Background(), nil, sc, errorFrac, detectCfg, meshCfg)
-}
-
-// RunScenarioContext is RunScenario with cancellation and observation:
-// the detection pipeline and every surface construction emit their stage
-// events to o under a labeled StageCell span.
+// RunScenarioContext deploys one scenario, detects its boundaries at the
+// given ranging error, reconstructs every boundary surface, and runs the
+// greedy routing experiment on the largest one. The detection pipeline
+// and every surface construction emit their stage events to o (nil for
+// none) under a labeled StageCell span.
 func RunScenarioContext(ctx context.Context, o obs.Observer, sc Scenario, errorFrac float64, detectCfg core.Config, meshCfg mesh.Config) (*ScenarioReport, error) {
 	shape, err := sc.MakeShape()
 	if err != nil {

@@ -30,11 +30,11 @@ func TestErrorSweepShardedMatchesUnsharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	levels := []float64{0, 0.1, 0.3}
-	base, err := RunErrorSweep(net, "sharded-diff", levels, core.Config{}, 5)
+	base, err := Engine{}.ErrorSweep(net, "sharded-diff", levels, core.Config{}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := RunErrorSweep(net, "sharded-diff", levels, core.Config{Shards: 4}, 5)
+	sharded, err := Engine{}.ErrorSweep(net, "sharded-diff", levels, core.Config{Shards: 4}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,7 @@ package eval
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/netgen"
 )
 
 // MaxHops is the histogram range of the paper's mistaken/missing
@@ -27,24 +25,6 @@ type SweepPoint struct {
 type SweepResult struct {
 	Scenario string
 	Points   []SweepPoint
-}
-
-// RunErrorSweep measures one network across distance-measurement error
-// levels: at each level the network is re-ranged with the paper's uniform
-// model, the full detection pipeline runs on MDS coordinates, and the
-// outcome is classified against ground truth. Level 0 uses exact ranging.
-// Levels run on the default Engine pool; per-level seeding keeps the
-// result identical to a serial run.
-func RunErrorSweep(net *netgen.Network, name string, levels []float64, cfg core.Config, seed int64) (SweepResult, error) {
-	return Engine{}.ErrorSweep(net, name, levels, cfg, seed)
-}
-
-// RunAggregateSweep runs the error sweep over several scenarios and sums
-// the reports per error level — the >10 000-boundary-node aggregate of
-// Fig. 11. Scenario networks are generated on demand; the (scenario,
-// level) cells run on the default Engine pool with a fixed fold order.
-func RunAggregateSweep(scenarios []Scenario, levels []float64, cfg core.Config) (SweepResult, error) {
-	return Engine{}.AggregateSweep(scenarios, levels, cfg)
 }
 
 // EfficiencyRows renders a sweep as the Fig. 1(g) / 11(a) table: one row

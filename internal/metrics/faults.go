@@ -6,44 +6,20 @@ package metrics
 import (
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 // FaultReport summarizes message-level fault activity for one detection
 // run (or an accumulation over several). It embeds the simulator's raw
-// counters and derives the rates worth printing. Since the obs layer
-// became the pipeline's one source of truth for message accounting, a
-// report is just a view over those counters — build one from a recording
-// observer with FaultReportFromObs, or keep accumulating raw
-// sim.FaultStats via Add; the two agree by construction
-// (sim.FaultStats.EmitObs is the only emitter).
+// counters and derives the rates worth printing; the obs msgs_* counters
+// carry the same numbers, since sim.FaultStats.EmitObs is their only
+// emitter.
 type FaultReport struct {
 	sim.FaultStats
 }
 
 // Add accumulates another run's counters.
 func (r *FaultReport) Add(s sim.FaultStats) { r.FaultStats.Add(s) }
-
-// FaultReportFromObs folds a recording observer's message counters —
-// summed across every stage — back into a report. Counters the observer
-// never saw stay zero; note the obs layer does not distinguish the drop
-// causes, so TotalDropped is preserved but attributed entirely to random
-// loss (Dropped).
-func FaultReportFromObs(m *obs.Mem) FaultReport {
-	var r FaultReport
-	if m == nil {
-		return r
-	}
-	r.Attempts = int(m.CounterTotal(obs.CtrMsgsSent))
-	r.Delivered = int(m.CounterTotal(obs.CtrMsgsDelivered))
-	r.Dropped = int(m.CounterTotal(obs.CtrMsgsDropped))
-	r.Duplicated = int(m.CounterTotal(obs.CtrMsgsDuplicated))
-	r.Retransmits = int(m.CounterTotal(obs.CtrMsgsRetransmitted))
-	r.Acks = int(m.CounterTotal(obs.CtrMsgsAcked))
-	r.Abandoned = int(m.CounterTotal(obs.CtrMsgsAbandoned))
-	return r
-}
 
 // DeliveryRate is the fraction of send attempts that reached a handler.
 // Injected duplicates count as extra deliveries, so the rate can exceed

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -72,53 +71,5 @@ func TestFaultReportZeroValueStringNA(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q, missing %q", s, want)
 		}
-	}
-}
-
-// TestFaultReportFromObsRoundTrip: sim.FaultStats.EmitObs into a recording
-// observer and FaultReportFromObs back must reproduce the totals (with the
-// drop causes folded into Dropped, per the obs schema), and the derived
-// rates must agree with the directly-accumulated report.
-func TestFaultReportFromObsRoundTrip(t *testing.T) {
-	stats := sim.FaultStats{
-		Attempts:       100,
-		Delivered:      80,
-		Dropped:        12,
-		CrashDrops:     5,
-		PartitionDrops: 3,
-		Duplicated:     6,
-		Retransmits:    25,
-		Acks:           70,
-		Abandoned:      2,
-	}
-	m := &obs.Mem{}
-	stats.EmitObs(m, obs.StageIFF)
-	// Split emission across stages: FromObs sums everything the run saw.
-	sim.FaultStats{Attempts: 10, Delivered: 10, Acks: 9}.EmitObs(m, obs.StageGrouping)
-
-	got := FaultReportFromObs(m)
-	var want FaultReport
-	want.Add(stats)
-	want.Add(sim.FaultStats{Attempts: 10, Delivered: 10, Acks: 9})
-
-	if got.Attempts != want.Attempts || got.Delivered != want.Delivered ||
-		got.Duplicated != want.Duplicated || got.Retransmits != want.Retransmits ||
-		got.Acks != want.Acks || got.Abandoned != want.Abandoned {
-		t.Errorf("FromObs %+v, want %+v", got.FaultStats, want.FaultStats)
-	}
-	if got.TotalDropped() != want.TotalDropped() {
-		t.Errorf("TotalDropped %d, want %d", got.TotalDropped(), want.TotalDropped())
-	}
-	if got.LossRate() != want.LossRate() || got.DeliveryRate() != want.DeliveryRate() ||
-		got.RetransmitOverhead() != want.RetransmitOverhead() {
-		t.Errorf("rates diverge: FromObs %v, direct %v", got, want)
-	}
-
-	// A nil or empty observer yields the zero report.
-	if r := FaultReportFromObs(nil); r.Attempts != 0 {
-		t.Errorf("nil observer produced %+v", r)
-	}
-	if r := FaultReportFromObs(&obs.Mem{}); r.Attempts != 0 {
-		t.Errorf("empty observer produced %+v", r)
 	}
 }

@@ -25,8 +25,9 @@ import (
 type Trace struct {
 	// Events holds every line in wire (seq) order.
 	Events []obs.TraceEvent
-	// Summary is the trace's aggregate roll-up.
-	Summary obs.TraceSummary
+	// Summary is the trace's aggregate roll-up: every event replayed
+	// into a Metrics.
+	Summary *obs.Metrics
 }
 
 // Load parses and validates a JSONL trace.
@@ -148,10 +149,7 @@ func FindAnomalies(tr *Trace) []Anomaly {
 	}
 
 	// Budget exhaustion straight off the aggregate counters.
-	for s := obs.Stage(1); ; s++ {
-		if s.String() == "stage?" {
-			break
-		}
+	for s := obs.Stage(1); tr.Summary != nil && s.String() != "stage?"; s++ {
 		if n := tr.Summary.Total(s, obs.CtrMsgsAbandoned); n > 0 {
 			out = append(out, Anomaly{
 				Kind:   AnomalyRetransmitExhaustion,
@@ -186,8 +184,8 @@ func FindAnomalies(tr *Trace) []Anomaly {
 
 // Finding is one compared metric in a diff report.
 type Finding struct {
-	// Metric names what was compared ("iff/msgs_sent", "rounds/grouping",
-	// "wall_ns/ubf", ...).
+	// Metric names what was compared: an obs.Tally name such as
+	// "iff/msgs_sent" or "wall_ns/ubf".
 	Metric string `json:"metric"`
 	// Old and New are the two sides' values; Delta is New-Old.
 	Old   float64 `json:"old"`
@@ -240,93 +238,62 @@ func fracDelta(oldV, newV float64) float64 {
 	return math.Abs(newV-oldV) / base
 }
 
-// DiffTraces compares two trace summaries metric by metric: counter
-// totals and transition tallies under CounterFrac, per-stage round counts
-// under RoundSlack, per-stage wall time under WallFrac. Any drift beyond
-// tolerance — in either direction — is a regression: the traces are
-// expected to describe the same workload.
-func DiffTraces(a, b obs.TraceSummary, tol Tolerances) Report {
+// DiffTraces compares two trace aggregates metric by metric (see
+// obs.Metrics.Tallies): counter totals and transition tallies under
+// CounterFrac, per-stage round counts under RoundSlack, per-stage wall
+// time under WallFrac. Any drift beyond tolerance — in either direction
+// — is a regression: the traces are expected to describe the same
+// workload.
+func DiffTraces(a, b *obs.Metrics, tol Tolerances) Report {
 	var rep Report
-
-	counterKeys := make(map[string][2]float64) // metric -> old, new
-	var order []string
-	note := func(metric string, oldV, newV float64) {
-		if _, seen := counterKeys[metric]; !seen {
-			order = append(order, metric)
-		}
-		v := counterKeys[metric]
-		v[0] += oldV
-		v[1] += newV
-		counterKeys[metric] = v
-	}
-	for s, m := range a.Counters {
-		for c, v := range m {
-			note(s.String()+"/"+c.String(), float64(v), 0)
-		}
-	}
-	for s, m := range b.Counters {
-		for c, v := range m {
-			note(s.String()+"/"+c.String(), 0, float64(v))
-		}
-	}
-	for t, n := range a.Transitions {
-		note("trans/"+t.String(), float64(n), 0)
-	}
-	for t, n := range b.Transitions {
-		note("trans/"+t.String(), 0, float64(n))
-	}
-	sort.Strings(order)
-	for _, metric := range order {
-		v := counterKeys[metric]
-		rep.Findings = append(rep.Findings, Finding{
-			Metric: metric, Old: v[0], New: v[1], Delta: v[1] - v[0],
-			Allowed:   tol.CounterFrac,
-			Regressed: fracDelta(v[0], v[1]) > tol.CounterFrac,
-		})
-	}
-
-	roundStages := make(map[obs.Stage]bool)
-	for s := range a.Rounds {
-		roundStages[s] = true
-	}
-	for s := range b.Rounds {
-		roundStages[s] = true
-	}
-	var rs []obs.Stage
-	for s := range roundStages {
-		rs = append(rs, s)
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
-	for _, s := range rs {
-		oldV, newV := float64(a.Rounds[s]), float64(b.Rounds[s])
-		rep.Findings = append(rep.Findings, Finding{
-			Metric: "rounds/" + s.String(), Old: oldV, New: newV, Delta: newV - oldV,
-			Allowed:   float64(tol.RoundSlack),
-			Regressed: math.Abs(newV-oldV) > float64(tol.RoundSlack),
-		})
-	}
-
+	ac, ar, aw := a.Tallies()
+	bc, br, bw := b.Tallies()
+	rep.compare(ac, bc, tol.CounterFrac, func(o, n float64) bool {
+		return fracDelta(o, n) > tol.CounterFrac
+	})
+	slack := float64(tol.RoundSlack)
+	rep.compare(ar, br, slack, func(o, n float64) bool {
+		return math.Abs(n-o) > slack
+	})
 	if tol.WallFrac >= 0 {
-		wallStages := make(map[obs.Stage]bool)
-		for s := range a.Wall {
-			wallStages[s] = true
-		}
-		for s := range b.Wall {
-			wallStages[s] = true
-		}
-		var ws []obs.Stage
-		for s := range wallStages {
-			ws = append(ws, s)
-		}
-		sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-		for _, s := range ws {
-			oldV, newV := float64(a.Wall[s]), float64(b.Wall[s])
-			rep.Findings = append(rep.Findings, Finding{
-				Metric: "wall_ns/" + s.String(), Old: oldV, New: newV, Delta: newV - oldV,
-				Allowed:   tol.WallFrac,
-				Regressed: fracDelta(oldV, newV) > tol.WallFrac,
-			})
-		}
+		rep.compare(aw, bw, tol.WallFrac, func(o, n float64) bool {
+			return fracDelta(o, n) > tol.WallFrac
+		})
 	}
 	return rep
+}
+
+// compare appends one finding per tally named on either side, ordered by
+// stage and then name; a tally absent from one side reads as zero there.
+func (r *Report) compare(oldT, newT []obs.Tally, allowed float64, regressed func(oldV, newV float64) bool) {
+	type row struct {
+		t obs.Tally
+		v [2]float64 // old, new
+	}
+	var rows []row
+	at := make(map[string]int)
+	for side, ts := range [2][]obs.Tally{oldT, newT} {
+		for _, t := range ts {
+			i, ok := at[t.Name]
+			if !ok {
+				i = len(rows)
+				at[t.Name] = i
+				rows = append(rows, row{t: t})
+			}
+			rows[i].v[side] = float64(t.Value)
+		}
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].t.Stage != rows[j].t.Stage {
+			return rows[i].t.Stage < rows[j].t.Stage
+		}
+		return rows[i].t.Name < rows[j].t.Name
+	})
+	for _, rw := range rows {
+		oldV, newV := rw.v[0], rw.v[1]
+		r.Findings = append(r.Findings, Finding{
+			Metric: rw.t.Name, Old: oldV, New: newV, Delta: newV - oldV,
+			Allowed: allowed, Regressed: regressed(oldV, newV),
+		})
+	}
 }

@@ -106,9 +106,9 @@ func TestFindAnomaliesNonQuiescence(t *testing.T) {
 }
 
 func TestFindAnomaliesRetransmitExhaustion(t *testing.T) {
-	tr := &Trace{Summary: obs.TraceSummary{Counters: map[obs.Stage]map[obs.Counter]int64{
-		obs.StageIFF: {obs.CtrMsgsAbandoned: 3},
-	}}}
+	sum := &obs.Metrics{}
+	sum.Count(obs.StageIFF, obs.CtrMsgsAbandoned, 3)
+	tr := &Trace{Summary: sum}
 	an := FindAnomalies(tr)
 	if len(an) != 1 || an[0].Kind != AnomalyRetransmitExhaustion {
 		t.Fatalf("anomalies = %+v, want one retransmit_exhaustion", an)
@@ -140,13 +140,17 @@ func TestFindAnomaliesRescindOscillation(t *testing.T) {
 }
 
 func TestDiffTracesIdenticalAndDrifted(t *testing.T) {
-	sum := func(msgs int64, rounds int) obs.TraceSummary {
-		return obs.TraceSummary{
-			Counters:    map[obs.Stage]map[obs.Counter]int64{obs.StageIFF: {obs.CtrMsgsSent: msgs}},
-			Rounds:      map[obs.Stage]int{obs.StageIFF: rounds},
-			Transitions: map[obs.Transition]int{obs.TransBoundaryClaim: 4},
-			Wall:        map[obs.Stage]int64{obs.StageIFF: 1000},
+	sum := func(msgs int64, rounds int) *obs.Metrics {
+		m := &obs.Metrics{}
+		m.Count(obs.StageIFF, obs.CtrMsgsSent, msgs)
+		for r := 0; r < rounds; r++ {
+			m.RoundEnd(obs.StageIFF, r, obs.RoundStats{})
 		}
+		for node := 0; node < 4; node++ {
+			m.NodeTransition(obs.StageIFF, obs.TransBoundaryClaim, node, 0)
+		}
+		m.StageEnd(obs.StageIFF, "", 1000)
+		return m
 	}
 	// Identical summaries diff clean even at zero tolerance, with wall
 	// time ignored by default.

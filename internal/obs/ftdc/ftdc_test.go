@@ -268,23 +268,24 @@ func TestSamplerExactFinalSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final := samples[len(samples)-1]
-	got := CounterTotals(final)
+	var final obs.Metrics
+	final.Load(samples[len(samples)-1].Metrics)
+	got := final.Totals()
 	want := mem.Totals()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("decoded final counters %v\n  != in-memory sink %v", got, want)
 	}
 	// Latency histogram: count equals completed incremental spans, and
 	// the quantile summary is populated.
-	lat := Latency(final, obs.StageIncremental.String())
+	lat := final.Latency(obs.StageIncremental)
 	if int(lat.Count()) != mem.Spans(obs.StageIncremental) {
 		t.Fatalf("decoded %d incremental spans, mem has %d", lat.Count(), mem.Spans(obs.StageIncremental))
 	}
 	if st := lat.Stats(); st.P50NS < 0 || st.P99NS < st.P50NS || st.Count == 0 {
 		t.Fatalf("bad decoded latency stats %+v", st)
 	}
-	if stages := LatencyStages(final); len(stages) == 0 {
-		t.Fatal("no latency stages decoded")
+	if !reflect.DeepEqual(final.LatencySummaries(), mem.LatencySummaries()) {
+		t.Fatal("decoded latency summaries differ from the in-memory sink's")
 	}
 	// Monotonicity: cumulative counters never decrease across samples.
 	var prev int64 = math.MinInt64

@@ -10,7 +10,8 @@ import (
 // FuzzFTDCReader: the decoder is total — arbitrary bytes (including
 // truncated and bit-flipped valid streams) must produce a diagnosed
 // error or a clean decode, never a panic, unbounded allocation, or hang.
-// Decodable prefixes of writer output must round-trip losslessly.
+// Decodable prefixes of writer output must round-trip losslessly, and
+// every decoded sample must load into an obs.Metrics.
 func FuzzFTDCReader(f *testing.F) {
 	// Seed with real writer output at a few schema shapes.
 	var buf bytes.Buffer
@@ -32,6 +33,17 @@ func FuzzFTDCReader(f *testing.F) {
 		samples, err := ReadAll(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		// Every decoded sample loads into a Metrics without panicking,
+		// and each key Load keeps reads back at its sample value.
+		for _, s := range samples {
+			var m obs.Metrics
+			m.Load(s.Metrics)
+			for _, kept := range m.Snapshot(nil) {
+				if v, ok := s.Value(kept.Key); !ok || v != kept.Value {
+					t.Fatalf("loaded %s=%d, sample has %d (present %v)", kept.Key, kept.Value, v, ok)
+				}
+			}
 		}
 		// A clean decode must re-encode to a stream that decodes to the
 		// same samples — the writer and reader agree on the format.

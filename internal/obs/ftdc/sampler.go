@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -70,8 +67,8 @@ func (s *Sampler) sample() {
 		return
 	}
 	s.buf = s.m.Snapshot(s.buf[:0])
-	// The timestamp key sorts after every metric family ("trans/" <
-	// "ts/"), so appending keeps the document key-sorted.
+	// The timestamp key sorts after every metric family Snapshot
+	// writes, so appending keeps the document key-sorted.
 	s.buf = append(s.buf, obs.Metric{Key: "ts/unix_ns", Value: time.Now().UnixNano()})
 	s.err = s.ring.WriteSample(s.buf)
 }
@@ -142,122 +139,4 @@ func ReadDir(dir string) ([]Sample, DirStats, error) {
 		f.Close()
 	}
 	return out, stats, nil
-}
-
-// CounterTotals projects a sample's "ctr/<stage>/<counter>" metrics into
-// the "stage/counter" map format of obs.Mem.Totals and
-// obs.Metrics.Totals, so a decoded ring diffs key for key against an
-// in-memory sink.
-func CounterTotals(s Sample) map[string]int64 {
-	out := make(map[string]int64)
-	for _, m := range s.Metrics {
-		if rest, ok := strings.CutPrefix(m.Key, "ctr/"); ok && m.Value != 0 {
-			out[rest] = m.Value
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// Summary projects a sample onto an obs.TraceSummary — counter totals,
-// spans, rounds, transitions and per-stage wall time — so a decoded ring
-// flows into the same diff machinery (analyze.DiffTraces) as a JSONL
-// trace. Keys naming unknown enum spellings are skipped.
-func Summary(s Sample) obs.TraceSummary {
-	sum := obs.TraceSummary{
-		Spans:       map[obs.Stage]int{},
-		Counters:    map[obs.Stage]map[obs.Counter]int64{},
-		Rounds:      map[obs.Stage]int{},
-		Transitions: map[obs.Transition]int{},
-		Wall:        map[obs.Stage]int64{},
-	}
-	for _, m := range s.Metrics {
-		switch {
-		case strings.HasPrefix(m.Key, "ctr/"):
-			rest := m.Key[len("ctr/"):]
-			i := strings.IndexByte(rest, '/')
-			if i < 0 {
-				continue
-			}
-			st, ok1 := obs.StageFromString(rest[:i])
-			ctr, ok2 := obs.CounterFromString(rest[i+1:])
-			if !ok1 || !ok2 {
-				continue
-			}
-			if sum.Counters[st] == nil {
-				sum.Counters[st] = map[obs.Counter]int64{}
-			}
-			sum.Counters[st][ctr] += m.Value
-		case strings.HasPrefix(m.Key, "spans/"):
-			if st, ok := obs.StageFromString(m.Key[len("spans/"):]); ok {
-				sum.Spans[st] = int(m.Value)
-			}
-		case strings.HasPrefix(m.Key, "rounds/"):
-			if st, ok := obs.StageFromString(m.Key[len("rounds/"):]); ok {
-				sum.Rounds[st] = int(m.Value)
-			}
-		case strings.HasPrefix(m.Key, "trans/"):
-			if tr, ok := obs.TransitionFromString(m.Key[len("trans/"):]); ok {
-				sum.Transitions[tr] = int(m.Value)
-			}
-		case strings.HasPrefix(m.Key, "lat/") && strings.HasSuffix(m.Key, "/sum"):
-			name := strings.TrimSuffix(m.Key[len("lat/"):], "/sum")
-			if st, ok := obs.StageFromString(name); ok {
-				sum.Wall[st] = m.Value
-			}
-		}
-	}
-	return sum
-}
-
-// Latency reconstructs one stage's histogram snapshot from a sample's
-// "lat/<stage>/..." metrics; empty when the stage never completed a
-// span.
-func Latency(s Sample, stage string) obs.HistSnapshot {
-	prefix := "lat/" + stage + "/"
-	var snap obs.HistSnapshot
-	for _, m := range s.Metrics {
-		rest, ok := strings.CutPrefix(m.Key, prefix)
-		if !ok {
-			continue
-		}
-		if rest == "sum" {
-			snap.SumNS = m.Value
-			continue
-		}
-		idxs, ok := strings.CutPrefix(rest, "b")
-		if !ok {
-			continue
-		}
-		idx, err := strconv.Atoi(idxs)
-		if err != nil || idx < 0 || idx >= obs.HistBuckets {
-			continue
-		}
-		if snap.Counts == nil {
-			snap.Counts = make([]int64, obs.HistBuckets)
-		}
-		snap.Counts[idx] = m.Value
-	}
-	return snap
-}
-
-// LatencyStages lists the stage names with latency data in the sample,
-// sorted.
-func LatencyStages(s Sample) []string {
-	seen := map[string]bool{}
-	for _, m := range s.Metrics {
-		if rest, ok := strings.CutPrefix(m.Key, "lat/"); ok {
-			if i := strings.IndexByte(rest, '/'); i > 0 {
-				seen[rest[:i]] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -5,16 +5,18 @@ import (
 	"math/bits"
 	"sort"
 	"strconv"
+	"strings"
 	"sync/atomic"
 )
 
-// This file is the always-on aggregation sink: where Mem keeps every
-// event for test introspection and JSONL streams them to disk, Metrics
-// folds the stream into fixed-size atomic tables — per-(stage, counter)
-// totals plus a per-stage latency histogram — cheap enough to leave
-// attached to a long-lived boundaryd process under load. The FTDC capture
-// layer (internal/obs/ftdc) periodically snapshots a Metrics into its
-// binary delta-encoded ring.
+// This file is the one aggregation sink: where Mem keeps every event for
+// test introspection and JSONL streams them to disk, Metrics folds the
+// stream into fixed-size atomic tables — per-(stage, counter) totals plus
+// a per-stage latency histogram — cheap enough to leave attached to a
+// long-lived boundaryd process under load. Every other roll-up reads a
+// Metrics: Mem embeds one, ReadTrace replays a trace into one, and Load
+// reads a snapshot document (an FTDC sample) back into one, so this file
+// alone writes and reads the snapshot key format.
 
 // Log-linear histogram layout: values below histLinear nanoseconds get
 // one bucket each; every power-of-two octave above that is split into
@@ -238,6 +240,21 @@ func (m *Metrics) NodeTransition(_ Stage, t Transition, _ int, _ int64) {
 	m.trans[t].Add(1)
 }
 
+// replay folds one recorded event into the tables — the path Mem and
+// ReadTrace share. Begins carry nothing a Metrics keeps.
+func (m *Metrics) replay(ev Event) {
+	switch ev.Kind {
+	case KindEnd:
+		m.StageEnd(ev.Stage, ev.Label, ev.WallNS)
+	case KindCount:
+		m.Count(ev.Stage, ev.Counter, ev.Value)
+	case KindRoundEnd:
+		m.RoundEnd(ev.Stage, ev.Round, ev.Stats)
+	case KindTransition:
+		m.NodeTransition(ev.Stage, ev.Trans, ev.Node, ev.Value)
+	}
+}
+
 // Total returns one stage counter's accumulated value.
 func (m *Metrics) Total(s Stage, c Counter) int64 {
 	if s >= stageEnd || c >= counterEnd {
@@ -246,9 +263,46 @@ func (m *Metrics) Total(s Stage, c Counter) int64 {
 	return m.counters[s][c].Load()
 }
 
-// Totals flattens the nonzero counters into the same "stage/counter" ->
-// value map obs.Mem.Totals produces, so in-memory and always-on sinks
-// compare key for key.
+// CounterTotal sums one counter across every stage.
+func (m *Metrics) CounterTotal(c Counter) int64 {
+	if c >= counterEnd {
+		return 0
+	}
+	var n int64
+	for s := Stage(1); s < stageEnd; s++ {
+		n += m.counters[s][c].Load()
+	}
+	return n
+}
+
+// Spans returns how many spans of the stage completed.
+func (m *Metrics) Spans(s Stage) int {
+	if s >= stageEnd {
+		return 0
+	}
+	return int(m.spans[s].Load())
+}
+
+// Rounds returns how many protocol rounds of the stage completed.
+func (m *Metrics) Rounds(s Stage) int {
+	if s >= stageEnd {
+		return 0
+	}
+	return int(m.rounds[s].Load())
+}
+
+// Transitions returns how many node state changes of the kind were
+// recorded.
+func (m *Metrics) Transitions(t Transition) int {
+	if t >= transitionEnd {
+		return 0
+	}
+	return int(m.trans[t].Load())
+}
+
+// Totals flattens the nonzero counters into a "stage/counter" -> value
+// map: the per-cell roll-up eval.Engine attaches to result rows, and the
+// counter set boundaryd's GET /v1/metrics and tracestat -ftdc report.
 func (m *Metrics) Totals() map[string]int64 {
 	out := make(map[string]int64)
 	for s := Stage(1); s < stageEnd; s++ {
@@ -334,4 +388,100 @@ func (m *Metrics) Snapshot(buf []Metric) []Metric {
 	}
 	sort.Slice(buf, func(i, j int) bool { return buf[i].Key < buf[j].Key })
 	return buf
+}
+
+// Load folds a snapshot document — Snapshot's output, or a decoded FTDC
+// sample — into m, so a recorded document reads back through the same
+// accessors as a live sink: Load on a zero Metrics followed by Snapshot
+// returns the document. Keys outside the vocabulary are skipped: the
+// sampler's ts/unix_ns stamp, unknown stage, counter or transition
+// spellings, and bucket indices Snapshot would not write.
+func (m *Metrics) Load(doc []Metric) {
+	// Unknown spellings (and "") resolve to slot 0, which Snapshot never
+	// writes, so every lookup below guards on a nonzero result.
+	for _, mt := range doc {
+		family, rest, _ := strings.Cut(mt.Key, "/")
+		first, field, _ := strings.Cut(rest, "/")
+		switch family {
+		case "ctr":
+			s, _ := StageFromString(first)
+			c, _ := CounterFromString(field)
+			if s != 0 && c != 0 {
+				m.counters[s][c].Add(mt.Value)
+			}
+		case "lat":
+			s, _ := StageFromString(first)
+			if s == 0 {
+				continue
+			}
+			if field == "sum" {
+				m.lat[s].sum.Add(mt.Value)
+			} else if i, ok := bucketOf(field); ok {
+				m.lat[s].buckets[i].Add(mt.Value)
+			}
+		case "rounds":
+			if s, _ := StageFromString(rest); s != 0 {
+				m.rounds[s].Add(mt.Value)
+			}
+		case "spans":
+			if s, _ := StageFromString(rest); s != 0 {
+				m.spans[s].Add(mt.Value)
+			}
+		case "trans":
+			if t, _ := TransitionFromString(rest); t != 0 {
+				m.trans[t].Add(mt.Value)
+			}
+		}
+	}
+}
+
+// bucketOf parses a "b<idx>" histogram field, accepting only the
+// canonical spelling Snapshot writes.
+func bucketOf(field string) (int, bool) {
+	digits, ok := strings.CutPrefix(field, "b")
+	if !ok {
+		return 0, false
+	}
+	i, err := strconv.Atoi(digits)
+	if err != nil || i < 0 || i >= HistBuckets || strconv.Itoa(i) != digits {
+		return 0, false
+	}
+	return i, true
+}
+
+// Tally is one named scalar of a Metrics' diff view (see Tallies).
+type Tally struct {
+	Name  string
+	Stage Stage // orders per-stage tallies; 0 for counts
+	Value int64
+}
+
+// Tallies renders m's nonzero tallies under the names trace and capture
+// diffs report them by, one list per tolerance class: counts holds the
+// counter totals ("stage/counter") and transition tallies
+// ("trans/<transition>"); rounds the completed protocol rounds per stage
+// ("rounds/<stage>"); wall the summed span wall time of every stage that
+// completed a span ("wall_ns/<stage>"). Rounds and wall are in stage
+// order.
+func (m *Metrics) Tallies() (counts, rounds, wall []Tally) {
+	for s := Stage(1); s < stageEnd; s++ {
+		sn := s.String()
+		for c := Counter(1); c < counterEnd; c++ {
+			if v := m.counters[s][c].Load(); v != 0 {
+				counts = append(counts, Tally{Name: sn + "/" + c.String(), Value: v})
+			}
+		}
+		if v := m.rounds[s].Load(); v != 0 {
+			rounds = append(rounds, Tally{Name: "rounds/" + sn, Stage: s, Value: v})
+		}
+		if sum := m.lat[s].sum.Load(); sum != 0 || m.spans[s].Load() != 0 {
+			wall = append(wall, Tally{Name: "wall_ns/" + sn, Stage: s, Value: sum})
+		}
+	}
+	for t := Transition(1); t < transitionEnd; t++ {
+		if v := m.trans[t].Load(); v != 0 {
+			counts = append(counts, Tally{Name: "trans/" + t.String(), Value: v})
+		}
+	}
+	return counts, rounds, wall
 }

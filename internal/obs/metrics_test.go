@@ -2,6 +2,8 @@ package obs
 
 import (
 	"math/rand"
+	"reflect"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -104,37 +106,66 @@ func TestMetricsHotPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestMetricsMatchesMem: Metrics and Mem fed the same event stream must
-// agree on every counter total — the exactness the FTDC round-trip gate
-// builds on.
-func TestMetricsMatchesMem(t *testing.T) {
-	var m Metrics
-	mem := &Mem{}
-	o := Tee(&m, mem)
+// TestMetricsLoadRoundTrip: Load reads Snapshot's format back. A
+// randomized event stream — unknown enum values included, which clamp
+// into the slot Snapshot never writes — snapshots to a document that
+// loads into a fresh Metrics and snapshots back to the same document,
+// latency buckets included. Keys outside the vocabulary stay skipped.
+func TestMetricsLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	stages := []Stage{StageUBF, StageIFF, StageServe, StageIncremental}
-	counters := []Counter{CtrBallsTested, CtrMsgsSent, CtrDeltas, CtrSessions}
-	for i := 0; i < 500; i++ {
-		s := stages[rng.Intn(len(stages))]
-		Add(o, s, counters[rng.Intn(len(counters))], rng.Int63n(100)-10)
-		if i%7 == 0 {
-			sp := Start(o, s)
-			sp.End()
+	var m Metrics
+	for i := 0; i < 2000; i++ {
+		s := Stage(rng.Intn(int(stageEnd) + 3)) // 0 and past-the-end too
+		switch rng.Intn(4) {
+		case 0:
+			m.Count(s, Counter(rng.Intn(int(counterEnd)+3)), rng.Int63n(1000)-100)
+		case 1:
+			m.StageEnd(s, "", rng.Int63n(1<<40))
+		case 2:
+			m.RoundEnd(s, rng.Intn(9), RoundStats{})
+		default:
+			m.NodeTransition(s, Transition(rng.Intn(int(transitionEnd)+3)), 0, 0)
 		}
 	}
-	got, want := m.Totals(), mem.Totals()
-	if len(got) != len(want) {
-		t.Fatalf("counter key sets differ: metrics %d keys, mem %d keys", len(got), len(want))
+	doc := m.Snapshot(nil)
+	if len(doc) < 100 {
+		t.Fatalf("snapshot holds only %d metrics; the stream is too thin to test", len(doc))
 	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("counter %s: metrics %d, mem %d", k, got[k], v)
-		}
+	var back Metrics
+	back.Load(doc)
+	if got := back.Snapshot(nil); !reflect.DeepEqual(got, doc) {
+		t.Fatalf("Load(Snapshot) snapshots back to a different document:\n got  %v\n want %v", got, doc)
 	}
-	for _, s := range stages {
-		if int(m.spans[s].Load()) != mem.Spans(s) {
-			t.Fatalf("stage %s: span counts differ", s)
-		}
+
+	skipped := []Metric{
+		{Key: "ts/unix_ns", Value: 5},
+		{Key: "ctr/warp/balls_tested", Value: 1},
+		{Key: "ctr/ubf/bogus", Value: 1},
+		{Key: "ctr/ubf", Value: 1},
+		{Key: "ctr/ubf/balls_tested/x", Value: 1},
+		{Key: "ctr//", Value: 1},
+		{Key: "lat/ubf/b-1", Value: 1},
+		{Key: "lat/ubf/b01", Value: 1},
+		{Key: "lat/ubf/b+1", Value: 1},
+		{Key: "lat/ubf/b" + strconv.Itoa(HistBuckets), Value: 1},
+		{Key: "lat/ubf/max", Value: 1},
+		{Key: "lat/stage?/sum", Value: 1},
+		{Key: "rounds/stage?", Value: 1},
+		{Key: "spans/", Value: 1},
+		{Key: "spans/ubf/x", Value: 1},
+		{Key: "trans/trans?", Value: 1},
+		{Key: "trans/", Value: 1},
+		{Key: "bogus", Value: 1},
+	}
+	var none Metrics
+	none.Load(skipped)
+	if got := none.Snapshot(nil); len(got) != 0 {
+		t.Fatalf("keys outside the vocabulary were loaded: %v", got)
+	}
+	var mixed Metrics
+	mixed.Load(append(append([]Metric(nil), doc...), skipped...))
+	if got := mixed.Snapshot(nil); !reflect.DeepEqual(got, doc) {
+		t.Fatal("skipped keys disturbed the loaded document")
 	}
 }
 

@@ -186,15 +186,16 @@ func TestJSONLValidateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sum, err := ValidateTrace(bytes.NewReader(buf.Bytes()))
+	events, sum, err := ReadTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("round-trip trace invalid: %v\n%s", err, buf.String())
 	}
-	if sum.Events != 9 { // 3 begin/end pairs + 3 counts
-		t.Errorf("Events = %d, want 9", sum.Events)
+	if len(events) != 9 { // 3 begin/end pairs + 3 counts
+		t.Errorf("events = %d, want 9", len(events))
 	}
-	if sum.Spans[StageDetect] != 1 || sum.Spans[StageUBF] != 1 || sum.Spans[StageCell] != 1 {
-		t.Errorf("span counts wrong: %v", sum.Spans)
+	if sum.Spans(StageDetect) != 1 || sum.Spans(StageUBF) != 1 || sum.Spans(StageCell) != 1 {
+		t.Errorf("span counts wrong: detect %d, ubf %d, cell %d",
+			sum.Spans(StageDetect), sum.Spans(StageUBF), sum.Spans(StageCell))
 	}
 	if sum.Total(StageUBF, CtrBallsTested) != 42 {
 		t.Errorf("balls total = %d, want 42", sum.Total(StageUBF, CtrBallsTested))
@@ -276,14 +277,14 @@ func TestReadTraceRoundTrip(t *testing.T) {
 			t.Errorf("event %d has seq %d", i, ev.Seq)
 		}
 	}
-	if sum.Rounds[StageIFF] != 2 {
-		t.Errorf("Rounds[iff] = %d, want 2", sum.Rounds[StageIFF])
+	if sum.Rounds(StageIFF) != 2 {
+		t.Errorf("Rounds(iff) = %d, want 2", sum.Rounds(StageIFF))
 	}
-	if sum.Transitions[TransIFFRescind] != 1 {
-		t.Errorf("Transitions[iff_rescind] = %v, want 1", sum.Transitions)
+	if sum.Transitions(TransIFFRescind) != 1 {
+		t.Errorf("Transitions(iff_rescind) = %d, want 1", sum.Transitions(TransIFFRescind))
 	}
-	if sum.Wall[StageIFF] <= 0 {
-		t.Errorf("Wall[iff] = %d, want > 0", sum.Wall[StageIFF])
+	if wall := sum.Latency(StageIFF).SumNS; wall <= 0 {
+		t.Errorf("iff wall = %d, want > 0", wall)
 	}
 	last := events[5]
 	if last.Kind != KindRoundEnd || last.Round != 0 || last.Stats.Dropped != 6 {

@@ -55,95 +55,66 @@ type Event struct {
 }
 
 // Mem is an in-memory sink for tests: it records every event in arrival
-// order and aggregates counters. Safe for concurrent use. The zero value
-// is ready.
+// order and tracks open spans for Unbalanced. Its aggregates (Total,
+// Totals, CounterTotal, Spans, Rounds, Transitions, Latency) come from
+// the Metrics it embeds. Safe for concurrent use. The zero value is
+// ready.
 type Mem struct {
+	Metrics
+
 	mu     sync.Mutex
 	events []Event
-	totals map[[2]uint8]int64 // (stage, counter) -> sum
-	spans  map[Stage]int      // completed spans per stage
-	open   map[Stage]int      // begun-but-unended spans per stage
-	rounds map[Stage]int      // completed rounds per stage
-	trans  map[Transition]int // node transitions per kind
+	open   map[Stage]int // begun-but-unended spans per stage
+}
+
+// record appends one event under the lock and folds it into the
+// embedded Metrics.
+func (m *Mem) record(ev Event) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.events = append(m.events, ev)
+	switch ev.Kind {
+	case KindBegin:
+		if m.open == nil {
+			m.open = make(map[Stage]int)
+		}
+		m.open[ev.Stage]++
+	case KindEnd:
+		if m.open != nil {
+			m.open[ev.Stage]--
+		}
+	}
+	m.Metrics.replay(ev)
 }
 
 // StageBegin implements Observer.
 func (m *Mem) StageBegin(s Stage, label string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.events = append(m.events, Event{Kind: KindBegin, Stage: s, Label: label})
-	if m.open == nil {
-		m.open = make(map[Stage]int)
-	}
-	m.open[s]++
+	m.record(Event{Kind: KindBegin, Stage: s, Label: label})
 }
 
 // StageEnd implements Observer.
 func (m *Mem) StageEnd(s Stage, label string, wallNS int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.events = append(m.events, Event{Kind: KindEnd, Stage: s, Label: label, WallNS: wallNS})
-	if m.spans == nil {
-		m.spans = make(map[Stage]int)
-	}
-	m.spans[s]++
-	if m.open != nil {
-		m.open[s]--
-	}
+	m.record(Event{Kind: KindEnd, Stage: s, Label: label, WallNS: wallNS})
 }
 
 // Count implements Observer.
 func (m *Mem) Count(s Stage, c Counter, delta int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.events = append(m.events, Event{Kind: KindCount, Stage: s, Counter: c, Value: delta})
-	if m.totals == nil {
-		m.totals = make(map[[2]uint8]int64)
-	}
-	m.totals[[2]uint8{uint8(s), uint8(c)}] += delta
+	m.record(Event{Kind: KindCount, Stage: s, Counter: c, Value: delta})
 }
 
 // RoundBegin implements Observer.
 func (m *Mem) RoundBegin(s Stage, round int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.events = append(m.events, Event{Kind: KindRoundBegin, Stage: s, Round: round})
+	m.record(Event{Kind: KindRoundBegin, Stage: s, Round: round})
 }
 
 // RoundEnd implements Observer.
 func (m *Mem) RoundEnd(s Stage, round int, rs RoundStats) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.events = append(m.events, Event{Kind: KindRoundEnd, Stage: s, Round: round, Stats: rs})
-	if m.rounds == nil {
-		m.rounds = make(map[Stage]int)
-	}
-	m.rounds[s]++
+	m.record(Event{Kind: KindRoundEnd, Stage: s, Round: round, Stats: rs})
 }
 
 // NodeTransition implements Observer.
 func (m *Mem) NodeTransition(s Stage, t Transition, node int, value int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.events = append(m.events, Event{Kind: KindTransition, Stage: s, Trans: t, Node: node, Value: value})
-	if m.trans == nil {
-		m.trans = make(map[Transition]int)
-	}
-	m.trans[t]++
-}
-
-// Rounds returns how many completed rounds the stage recorded.
-func (m *Mem) Rounds(s Stage) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rounds[s]
-}
-
-// Transitions returns how many state changes of the kind were recorded.
-func (m *Mem) Transitions(t Transition) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.trans[t]
+	m.record(Event{Kind: KindTransition, Stage: s, Trans: t, Node: node, Value: value})
 }
 
 // Events returns a copy of everything recorded, in arrival order.
@@ -151,33 +122,6 @@ func (m *Mem) Events() []Event {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]Event(nil), m.events...)
-}
-
-// Total returns the accumulated value of one stage's counter.
-func (m *Mem) Total(s Stage, c Counter) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.totals[[2]uint8{uint8(s), uint8(c)}]
-}
-
-// CounterTotal sums one counter across every stage.
-func (m *Mem) CounterTotal(c Counter) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var t int64
-	for k, v := range m.totals {
-		if k[1] == uint8(c) {
-			t += v
-		}
-	}
-	return t
-}
-
-// Spans returns how many completed (ended) spans the stage recorded.
-func (m *Mem) Spans(s Stage) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.spans[s]
 }
 
 // Unbalanced reports stages with begun-but-never-ended spans — an
@@ -194,27 +138,12 @@ func (m *Mem) Unbalanced() []Stage {
 	return out
 }
 
-// Totals flattens the aggregated counters into a "stage/counter" -> value
-// map — the per-cell roll-up format eval.Engine attaches to sweep points.
-func (m *Mem) Totals() map[string]int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.totals) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(m.totals))
-	for k, v := range m.totals {
-		out[Stage(k[0]).String()+"/"+Counter(k[1]).String()] = v
-	}
-	return out
-}
-
 // Reset drops everything recorded.
 func (m *Mem) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.events, m.totals, m.spans, m.open = nil, nil, nil, nil
-	m.rounds, m.trans = nil, nil
+	m.events, m.open = nil, nil
+	m.Metrics = Metrics{}
 }
 
 // tee fans every event out to two observers.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 )
@@ -128,36 +129,6 @@ type TraceEvent struct {
 	TsNS int64
 }
 
-// TraceSummary aggregates a validated trace.
-type TraceSummary struct {
-	// Events is the total line count.
-	Events int
-	// Spans counts completed spans per stage.
-	Spans map[Stage]int
-	// Counters sums counter values per (stage, counter).
-	Counters map[Stage]map[Counter]int64
-	// Rounds counts completed protocol rounds per stage.
-	Rounds map[Stage]int
-	// Transitions counts node state changes per kind.
-	Transitions map[Transition]int
-	// Wall sums completed-span wall time per stage.
-	Wall map[Stage]int64
-}
-
-// Total returns a summed counter value for one stage; zero when absent.
-func (t TraceSummary) Total(s Stage, c Counter) int64 {
-	return t.Counters[s][c]
-}
-
-// CounterTotal sums one counter across all stages.
-func (t TraceSummary) CounterTotal(c Counter) int64 {
-	var n int64
-	for _, m := range t.Counters {
-		n += m[c]
-	}
-	return n
-}
-
 // spanKey scopes begin/end balance to (stage, label), so a labeled cell
 // span cannot be closed by an unlabeled end of the same stage.
 type spanKey struct {
@@ -172,20 +143,15 @@ type roundKey struct {
 }
 
 // ReadTrace parses and validates a JSONL trace, returning every event in
-// wire order plus the aggregate summary. Validation enforces the schema
-// (known ev/stage/counter/trans vocabulary, no unknown fields, required
-// payloads present), seq consecutive from 0, ts_ns non-decreasing (the
-// writer serializes under one mutex, so the timeline is total), begin/end
-// balance per (stage, label), round begin/end balance per (stage, round)
-// with rounds ≥ InitRound, non-negative round stats, and nodes ≥ 0.
-func ReadTrace(r io.Reader) ([]TraceEvent, TraceSummary, error) {
-	sum := TraceSummary{
-		Spans:       make(map[Stage]int),
-		Counters:    make(map[Stage]map[Counter]int64),
-		Rounds:      make(map[Stage]int),
-		Transitions: make(map[Transition]int),
-		Wall:        make(map[Stage]int64),
-	}
+// wire order plus the Metrics every validated event was replayed into.
+// Validation enforces the schema (known ev/stage/counter/trans
+// vocabulary, no unknown fields, required payloads present), seq
+// consecutive from 0, ts_ns non-decreasing (the writer serializes under
+// one mutex, so the timeline is total), begin/end balance per (stage,
+// label), round begin/end balance per (stage, round) with rounds ≥
+// InitRound, non-negative round stats, and nodes ≥ 0.
+func ReadTrace(r io.Reader) ([]TraceEvent, *Metrics, error) {
+	sum := &Metrics{}
 	var events []TraceEvent
 	openSpans := make(map[spanKey]int)
 	openRounds := make(map[roundKey]int)
@@ -232,8 +198,6 @@ func ReadTrace(r io.Reader) ([]TraceEvent, TraceSummary, error) {
 			ev.Kind = KindEnd
 			ev.WallNS = *l.WallNS
 			openSpans[spanKey{stage, l.Label}]--
-			sum.Spans[stage]++
-			sum.Wall[stage] += *l.WallNS
 		case "count":
 			ctr, ok := CounterFromString(l.Counter)
 			if !ok {
@@ -245,10 +209,6 @@ func ReadTrace(r io.Reader) ([]TraceEvent, TraceSummary, error) {
 			ev.Kind = KindCount
 			ev.Counter = ctr
 			ev.Value = *l.Value
-			if sum.Counters[stage] == nil {
-				sum.Counters[stage] = make(map[Counter]int64)
-			}
-			sum.Counters[stage][ctr] += *l.Value
 		case "round_begin":
 			if l.Round == nil || *l.Round < InitRound {
 				return events, sum, fmt.Errorf("obs: trace line %d: round_begin needs round >= %d", lineNo, InitRound)
@@ -271,7 +231,6 @@ func ReadTrace(r io.Reader) ([]TraceEvent, TraceSummary, error) {
 			ev.Round = *l.Round
 			ev.Stats = rs
 			openRounds[roundKey{stage, *l.Round}]--
-			sum.Rounds[stage]++
 		case "trans":
 			tr, ok := TransitionFromString(l.Trans)
 			if !ok {
@@ -287,12 +246,11 @@ func ReadTrace(r io.Reader) ([]TraceEvent, TraceSummary, error) {
 			ev.Trans = tr
 			ev.Node = *l.Node
 			ev.Value = *l.Value
-			sum.Transitions[tr]++
 		default:
 			return events, sum, fmt.Errorf("obs: trace line %d: unknown event kind %q", lineNo, l.Ev)
 		}
 		events = append(events, ev)
-		sum.Events++
+		sum.replay(ev.Event)
 	}
 	if err := sc.Err(); err != nil {
 		return events, sum, fmt.Errorf("obs: trace: %w", err)
@@ -311,9 +269,9 @@ func ReadTrace(r io.Reader) ([]TraceEvent, TraceSummary, error) {
 }
 
 // ValidateTrace parses a JSONL trace, checks it against the schema and
-// ordering invariants (see ReadTrace), and returns the aggregate summary
-// on success.
-func ValidateTrace(r io.Reader) (TraceSummary, error) {
+// ordering invariants (see ReadTrace), and returns its aggregate on
+// success.
+func ValidateTrace(r io.Reader) (*Metrics, error) {
 	_, sum, err := ReadTrace(r)
 	return sum, err
 }
@@ -327,62 +285,33 @@ var detectorOwnedStages = [...]Stage{
 }
 
 // CheckVocab enforces the detector vocabulary contract on an aggregated
-// trace: every counter, span, round, or wall total recorded under a
-// detector-owned stage must fall inside the declared stage list (a
+// trace: every counter, span or round recorded under a detector-owned
+// stage must fall inside the declared stage list (a
 // Detector.Vocab().Stages slice). ValidateTrace alone accepts any known
 // stage/counter spelling, so a detector emitting under a stage it never
-// declared — sv-contour counting under "ubf", say — used to pass
+// declared — sv-contour counting under "ubf", say — would pass
 // validation silently; this is the closing check cli.Session runs when
 // the run's detector set is known.
-func (t TraceSummary) CheckVocab(declared []Stage) error {
-	allowed := make(map[Stage]bool, len(declared))
-	for _, s := range declared {
-		allowed[s] = true
-	}
-	owned := make(map[Stage]bool, len(detectorOwnedStages))
+func (m *Metrics) CheckVocab(declared []Stage) error {
 	for _, s := range detectorOwnedStages {
-		owned[s] = true
-	}
-	check := func(s Stage, what string) error {
-		if owned[s] && !allowed[s] {
-			return fmt.Errorf("obs: trace %s under stage %q, outside the declared detector vocabulary", what, s)
+		if slices.Contains(declared, s) {
+			continue
 		}
-		return nil
-	}
-	for s, m := range t.Counters {
-		for c, v := range m {
-			if v == 0 {
-				continue
-			}
-			if err := check(s, "counter "+c.String()); err != nil {
-				return err
+		for c := Counter(1); c < counterEnd; c++ {
+			if m.counters[s][c].Load() != 0 {
+				return vocabErr(s, "counter "+c.String())
 			}
 		}
-	}
-	for s, n := range t.Spans {
-		if n > 0 {
-			if err := check(s, "span"); err != nil {
-				return err
-			}
+		if m.Spans(s) > 0 {
+			return vocabErr(s, "span")
 		}
-	}
-	for s, n := range t.Rounds {
-		if n > 0 {
-			if err := check(s, "round"); err != nil {
-				return err
-			}
+		if m.Rounds(s) > 0 {
+			return vocabErr(s, "round")
 		}
 	}
 	return nil
 }
 
-// ValidateTraceVocab is ValidateTrace plus the detector vocabulary
-// contract: the trace must stay inside the declared stage list wherever
-// it touches a detector-owned stage.
-func ValidateTraceVocab(r io.Reader, declared []Stage) (TraceSummary, error) {
-	sum, err := ValidateTrace(r)
-	if err != nil {
-		return sum, err
-	}
-	return sum, sum.CheckVocab(declared)
+func vocabErr(s Stage, what string) error {
+	return fmt.Errorf("obs: trace %s under stage %q, outside the declared detector vocabulary", what, s)
 }

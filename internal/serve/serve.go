@@ -245,9 +245,9 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// MetricsSnapshot is one sink's wire rendering: counter totals in the
-// obs.Mem.Totals "stage/counter" key format plus per-stage latency
-// quantile summaries.
+// MetricsSnapshot is one sink's wire rendering: counter totals keyed
+// "stage/counter" (obs.Metrics.Totals) plus per-stage latency quantile
+// summaries.
 type MetricsSnapshot struct {
 	Counters  map[string]int64            `json:"counters,omitempty"`
 	Latencies map[string]obs.LatencyStats `json:"latencies,omitempty"`

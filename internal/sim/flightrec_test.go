@@ -279,3 +279,32 @@ func TestFlightRecorderRoundLoopZeroAlloc(t *testing.T) {
 			extra, base, rec)
 	}
 }
+
+// TestFaultStatsEmitObs: EmitObs mirrors every message counter under the
+// given stage — the three drop causes folded into msgs_dropped — stays
+// silent on zero fields, and is nil-safe.
+func TestFaultStatsEmitObs(t *testing.T) {
+	var m obs.Metrics
+	FaultStats{
+		Attempts: 100, Delivered: 80, Dropped: 12, CrashDrops: 5, PartitionDrops: 3,
+		Duplicated: 6, Retransmits: 25, Acks: 70, Abandoned: 2,
+	}.EmitObs(&m, obs.StageIFF)
+	sparse := FaultStats{Attempts: 10, Delivered: 10, Acks: 9}
+	sparse.EmitObs(&m, obs.StageGrouping)
+	want := map[string]int64{
+		"iff/msgs_sent": 100, "iff/msgs_delivered": 80, "iff/msgs_dropped": 20,
+		"iff/msgs_duplicated": 6, "iff/msgs_retransmitted": 25, "iff/msgs_acked": 70,
+		"iff/msgs_abandoned": 2,
+		"grouping/msgs_sent": 10, "grouping/msgs_delivered": 10, "grouping/msgs_acked": 9,
+	}
+	if got := m.Totals(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("EmitObs totals %v, want %v", got, want)
+	}
+
+	mem := &obs.Mem{}
+	sparse.EmitObs(mem, obs.StageGrouping)
+	if n := len(mem.Events()); n != 3 {
+		t.Fatalf("sparse stats emitted %d events, want 3 (zero fields stay silent)", n)
+	}
+	sparse.EmitObs(nil, obs.StageGrouping)
+}
